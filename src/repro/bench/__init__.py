@@ -25,21 +25,17 @@ class fast path rather than a slow method-call loop.  A third scenario
 partner from the opposite behavioural corner on disjoint SM partitions
 (:func:`repro.sim.multikernel.bench_coschedule`), timing the
 partitioned work-distribution path and cross-partition memory
-contention.  A fourth scenario (rows keyed ``<kernel>@batch``) runs a
-16-key controller sweep through the batched backend
-(:mod:`repro.sim.batch`) and records its throughput next to the same
-sweep run as sequential in-process jobs
-(``speedup_vs_sequential``).  A fifth scenario (rows keyed
-``<kernel>@vector``) runs the chip-wide GPU through the vectorized
-busy-slot backend (:mod:`repro.sim.vector`), which opportunistically
-executes fill-free ALU span bursts through numpy; the plain ``chip``
-rows are pinned to the scalar loop so the pair measures exactly the
-backend swap.  Two controller scenarios (rows keyed ``<kernel>@ccws``
-and ``<kernel>@dyncta``) time the third-party baselines on the scalar
-chip GPU: CCWS installs ``sm.hooks`` and therefore runs the
-hook-bearing compiled loop variant, DynCTA churns occupancy through
-the inlined GWDE launch/retire fragments -- together they price the
-two specialization axes next to the hook-free ``chip`` rows.
+contention.  A fourth scenario (rows keyed ``<kernel>@vector``) runs
+the chip-wide GPU through the vectorized busy-slot backend
+(:mod:`repro.sim.vector`), which opportunistically executes fill-free
+ALU span bursts through numpy; the plain ``chip`` rows are pinned to
+the scalar loop so the pair measures exactly the backend swap.  Two
+controller scenarios (rows keyed ``<kernel>@ccws`` and
+``<kernel>@dyncta``) time the third-party baselines on the scalar chip
+GPU: CCWS installs ``sm.hooks`` and therefore runs the hook-bearing
+compiled loop variant, DynCTA churns occupancy through the inlined
+GWDE launch/retire fragments -- together they price the two
+specialization axes next to the hook-free ``chip`` rows.
 
 Results are written as JSON (``BENCH_sim.json`` by default) and two
 result files can be compared with a regression threshold; CI keeps a
@@ -90,13 +86,6 @@ MULTIKERNEL_SUFFIX = "@multikernel"
 MULTIKERNEL_KERNELS: Tuple[str, ...] = tuple(
     k for _, k in REPRESENTATIVE_KERNELS)
 
-#: Row-key suffix of the batched-sweep scenario rows.
-BATCH_SUFFIX = "@batch"
-
-#: Kernels timed as a batched controller sweep.
-BATCH_KERNELS: Tuple[str, ...] = tuple(
-    k for _, k in REPRESENTATIVE_KERNELS)
-
 #: Row-key suffix of the CCWS (hook-bearing loop variant) rows.
 CCWS_SUFFIX = "@ccws"
 
@@ -123,35 +112,6 @@ VECTOR_SUFFIX = "@vector"
 #: duplicate the ``chip`` row).
 VECTOR_KERNELS: Tuple[str, ...] = tuple(
     k for _, k in REPRESENTATIVE_KERNELS)
-
-
-def batch_sweep_keys() -> Tuple[Tuple, ...]:
-    """The deterministic 16-key controller sweep the ``@batch`` rows run.
-
-    One lane per controller family the experiment suite sweeps:
-    baseline, the four single-domain static VF corners plus both
-    double corners, two block-capped statics, all four Equalizer
-    configurations, and the three third-party baselines.
-    """
-    from ..config import VF_HIGH, VF_LOW, VF_NORMAL
-    return (
-        ("baseline",),
-        ("static", VF_HIGH, VF_NORMAL, None),
-        ("static", VF_LOW, VF_NORMAL, None),
-        ("static", VF_NORMAL, VF_HIGH, None),
-        ("static", VF_NORMAL, VF_LOW, None),
-        ("static", VF_HIGH, VF_HIGH, None),
-        ("static", VF_LOW, VF_LOW, None),
-        ("static", VF_NORMAL, VF_NORMAL, 4),
-        ("static", VF_NORMAL, VF_NORMAL, 8),
-        ("equalizer", "performance"),
-        ("equalizer", "energy"),
-        ("equalizer", "performance", "blocks-only"),
-        ("equalizer", "energy", "blocks-only"),
-        ("dyncta",),
-        ("ccws",),
-        ("boost",),
-    )
 
 
 class BenchError(ReproError):
@@ -279,60 +239,6 @@ def bench_kernel(name: str, scale: float = 1.0, repeats: int = 1,
     }
 
 
-def bench_batch_sweep(name: str, scale: float = 1.0, repeats: int = 1,
-                      sim=None) -> Dict:
-    """Time a 16-key controller sweep of one kernel, batched.
-
-    The row measures what the batched backend is for: a whole sweep
-    (:func:`batch_sweep_keys`) stepped through one process by
-    :func:`repro.engine.execute_batch_group`, against the same sweep
-    run as sequential in-process :func:`repro.engine.execute_job`
-    calls -- the work a one-job-per-worker engine fan-out does, minus
-    the per-process interpreter start-up and import cost that batching
-    additionally amortises (~0.25 s/job on this substrate).  Both
-    sides are timed cold each repeat and the best wall time wins;
-    ``ticks`` is the total across lanes and is checked deterministic.
-    """
-    from ..engine.executor import execute_batch_group, execute_job
-
-    if repeats < 1:
-        raise BenchError("repeats must be >= 1")
-    if sim is None:
-        from ..experiments.common import default_sim
-        sim = default_sim()
-    keys = batch_sweep_keys()
-    best = None
-    seq_best = None
-    ticks = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        pairs = execute_batch_group(name, list(keys), scale, sim)
-        wall = time.perf_counter() - start
-        total = sum(r.result.ticks for r, _ in pairs)
-        if ticks is None:
-            ticks = total
-        elif ticks != total:
-            raise BenchError(
-                f"{name}{BATCH_SUFFIX}: nondeterministic tick count "
-                f"({ticks} vs {total})")
-        if best is None or wall < best:
-            best = wall
-        start = time.perf_counter()
-        for key in keys:
-            execute_job(name, key, scale, sim)
-        seq_wall = time.perf_counter() - start
-        if seq_best is None or seq_wall < seq_best:
-            seq_best = seq_wall
-    return {
-        "ticks": ticks,
-        "wall_s": round(best, 6),
-        "ticks_per_sec": round(ticks / best, 1),
-        "lanes": len(keys),
-        "seq_wall_s": round(seq_best, 6),
-        "speedup_vs_sequential": round(seq_best / best, 3),
-    }
-
-
 def run_suite(kernels: Optional[List[str]] = None, scale: float = 1.0,
               repeats: int = 1, quick: bool = False) -> Dict:
     """Run the benchmark suite and return the result document."""
@@ -359,10 +265,6 @@ def run_suite(kernels: Optional[List[str]] = None, scale: float = 1.0,
                                variant="multikernel")
             row["role"] = "multikernel"
             rows[name + MULTIKERNEL_SUFFIX] = row
-        for name in BATCH_KERNELS:
-            row = bench_batch_sweep(name, scale=scale, repeats=repeats)
-            row["role"] = "batch"
-            rows[name + BATCH_SUFFIX] = row
         for name in CCWS_KERNELS:
             row = bench_kernel(name, scale=scale, repeats=repeats,
                                variant="ccws")

@@ -67,14 +67,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_CACHE_DIR, metavar="DIR",
                         help="on-disk run cache location "
                              f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--batch", action="store_true",
-                        help="group compatible jobs (same kernel, "
-                             "different controllers) into batched "
-                             "lockstep runs sharing one worker")
-    parser.add_argument("--batch-size", type=int, default=16,
-                        metavar="N",
-                        help="max lanes per batch job with --batch "
-                             "(default: 16)")
     parser.add_argument("--timeout", type=float,
                         default=DEFAULT_TIMEOUT, metavar="S",
                         help="per-job wall-clock budget; hung "
@@ -92,7 +84,6 @@ def build_engine(args, sim=None) -> Engine:
     return Engine(sim=sim or common.default_sim(), scale=args.scale,
                   jobs=max(1, args.jobs), cache_dir=args.cache_dir,
                   use_cache=not args.no_cache,
-                  batch_size=args.batch_size if args.batch else None,
                   timeout=args.timeout,
                   max_attempts=args.max_attempts)
 

@@ -22,7 +22,7 @@ from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .executor import (DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_CAP,
                        DEFAULT_LEASE, DEFAULT_MAX_ATTEMPTS,
                        DEFAULT_TIMEOUT, Engine, ExecutionReport,
-                       JobOutcome, execute_batch_group, execute_job)
+                       JobOutcome, execute_job)
 from .fingerprint import CACHE_FORMAT, code_salt, job_digest
 from .jobs import Job, as_jobs, collect_jobs, make_controller
 from .serialize import ReproJSONEncoder, dump_json, dumps_json
@@ -41,7 +41,6 @@ __all__ = [
     "JobOutcome",
     "JobRecord",
     "JobStore",
-    "execute_batch_group",
     "execute_job",
     "CACHE_FORMAT",
     "code_salt",

@@ -34,13 +34,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", type=str,
                         default=DEFAULT_CACHE_DIR, metavar="DIR",
                         help="on-disk run cache location")
-    parser.add_argument("--batch", action="store_true",
-                        help="group compatible jobs into batched "
-                             "lockstep runs (repro.sim.batch)")
-    parser.add_argument("--batch-size", type=int, default=16,
-                        metavar="N",
-                        help="max lanes per batch job with --batch "
-                             "(default: 16)")
     parser.add_argument("--timeout", type=float,
                         default=DEFAULT_TIMEOUT, metavar="S",
                         help="per-job wall-clock budget; hung workers "
@@ -58,9 +51,6 @@ def _build_engine(args, scale: float):
     return Engine(sim=default_sim(), scale=scale,
                   jobs=max(1, args.jobs), cache_dir=args.cache_dir,
                   use_cache=not args.no_cache,
-                  batch_size=(args.batch_size if getattr(args, "batch",
-                                                         False)
-                              else None),
                   timeout=args.timeout,
                   max_attempts=args.max_attempts,
                   lease_s=getattr(args, "lease", DEFAULT_LEASE))

@@ -77,32 +77,6 @@ def execute_job(kernel: str, key: ControllerKey, scale: float,
     return result, time.perf_counter() - start
 
 
-def execute_batch_group(kernel: str, keys: List[ControllerKey],
-                        scale: float,
-                        sim: SimConfig) -> List[Tuple[RunResult, float]]:
-    """Run one kernel under many controller keys as one batch.
-
-    The batched worker entry point: all keys share one workload build
-    and one process, stepped in lockstep by
-    :func:`repro.sim.batch.run_batch`.  Per-lane results are
-    bit-identical to :func:`execute_job`'s (the oracle's ``batch:*``
-    paths pin this), so they are cached under the same digests.  Wall
-    time is apportioned to lanes by tick share, keeping per-job
-    timing reports meaningful.
-    """
-    from ..sim.batch import BatchLane, run_batch
-    start = time.perf_counter()
-    workload = build_workload(kernel_by_name(kernel), scale=scale,
-                              seed=sim.seed)
-    lanes = [BatchLane(workload=workload, sim=sim,
-                       controller=make_controller(key, sim.equalizer))
-             for key in keys]
-    results = run_batch(lanes)
-    wall = time.perf_counter() - start
-    total_ticks = sum(r.result.ticks for r in results) or 1
-    return [(r, wall * r.result.ticks / total_ticks) for r in results]
-
-
 def _run_supervised(worker, actions, kernel, key, scale, sim):
     """Pool-worker wrapper: apply injected faults, then run the job.
 
@@ -114,13 +88,6 @@ def _run_supervised(worker, actions, kernel, key, scale, sim):
     if actions:
         faults.apply_worker_actions(actions)
     return worker(kernel, key, scale, sim)
-
-
-def _run_supervised_batch(worker, actions, kernel, keys, scale, sim):
-    """Batched twin of :func:`_run_supervised`."""
-    if actions:
-        faults.apply_worker_actions(actions)
-    return worker(kernel, keys, scale, sim)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -202,7 +169,7 @@ class JobOutcome:
     """What happened to one job during :meth:`Engine.execute`."""
 
     job: Job
-    #: "memory", "disk", "run", or "batch" (a lane of a batched run).
+    #: "memory", "disk", or "run".
     source: str
     seconds: float = 0.0
     attempts: int = 0
@@ -233,7 +200,7 @@ class ExecutionReport:
     @property
     def executed(self) -> int:
         return sum(1 for o in self.outcomes
-                   if o.ok and o.source in ("run", "batch"))
+                   if o.ok and o.source == "run")
 
     @property
     def failures(self) -> List[JobOutcome]:
@@ -266,17 +233,13 @@ class Engine:
                  scale: float = 1.0, jobs: int = 1,
                  cache_dir: str = DEFAULT_CACHE_DIR,
                  use_cache: bool = True, worker=None,
-                 batch_size: Optional[int] = None,
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  backoff_cap: float = DEFAULT_BACKOFF_CAP,
-                 lease_s: float = DEFAULT_LEASE,
-                 batch_worker=None) -> None:
+                 lease_s: float = DEFAULT_LEASE) -> None:
         if jobs < 1:
             raise EngineError("jobs must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise EngineError("batch_size must be >= 1")
         if timeout is not None and timeout <= 0:
             raise EngineError("timeout must be positive (or None)")
         if max_attempts < 1:
@@ -284,13 +247,8 @@ class Engine:
         self.sim = sim or SimConfig()
         self.scale = scale
         self.jobs = jobs
-        #: When set, plan misses are grouped by kernel and run through
-        #: the batched backend (repro.sim.batch), up to this many
-        #: controller lanes per batch job.
-        self.batch_size = batch_size
-        #: Per-job wall-clock budget; a batch group gets this times its
-        #: lane count.  None disables the watchdog deadline (the loop
-        #: still polls rather than blocking).
+        #: Per-job wall-clock budget.  None disables the watchdog
+        #: deadline (the loop still polls rather than blocking).
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
@@ -299,7 +257,6 @@ class Engine:
         self.disk = DiskCache(cache_dir) if use_cache else None
         self._cache_degraded = False
         self._worker = worker or execute_job
-        self._batch_worker = batch_worker or execute_batch_group
         self._memory: Dict[Tuple[str, ControllerKey], RunResult] = {}
         self._controllers: Dict[Tuple[str, ControllerKey], object] = {}
         self._digests: Dict[Job, str] = {}
@@ -396,23 +353,16 @@ class Engine:
     # -- plan execution ------------------------------------------------
 
     def execute(self, plan: List[Job],
-                workers: Optional[int] = None,
-                batch_size: Optional[int] = None) -> ExecutionReport:
+                workers: Optional[int] = None) -> ExecutionReport:
         """Resolve every job in the plan, fanning misses out.
 
         Cache hits are resolved first; the remaining jobs run on a
-        process pool (``workers`` > 1) or inline.  With ``batch_size``
-        (or the engine's ``batch_size``) set, misses sharing a kernel
-        are grouped into batch jobs of up to that many lanes, each
-        batch occupying one worker slot; per-lane results land in the
-        cache exactly as individual runs would.  Failed attempts are
+        process pool (``workers`` > 1) or inline.  Failed attempts are
         retried (with backoff) up to the engine's ``max_attempts``
-        budget -- two by default, the historical retry-once contract;
-        batched lanes retry solo.  A job that exhausts the budget
-        lands in the report's failures.
+        budget -- two by default, the historical retry-once contract.
+        A job that exhausts the budget lands in the report's failures.
         """
         workers = workers or self.jobs
-        batch_size = batch_size or self.batch_size
         start = time.perf_counter()
         by_job: Dict[Job, JobOutcome] = {}
         misses: List[Job] = []
@@ -425,10 +375,7 @@ class Engine:
             else:
                 misses.append(job)
         if misses:
-            if batch_size is not None and batch_size > 1:
-                self._execute_batched(misses, workers, by_job,
-                                      batch_size)
-            elif workers > 1:
+            if workers > 1:
                 self._supervise(misses, workers, by_job,
                                 _MemoryLedger())
             else:
@@ -763,170 +710,6 @@ class Engine:
                     # A worker died; the remaining in-flight futures
                     # surface BrokenProcessPool on the next pass, but
                     # the pool itself is unusable for new submissions.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-    # -- batched pool path ---------------------------------------------
-
-    def _execute_batched(self, jobs: List[Job], workers: int,
-                         by_job: Dict[Job, JobOutcome],
-                         batch_size: int) -> None:
-        """Group misses by kernel into batch jobs of <= batch_size lanes.
-
-        Jobs sharing a kernel are *compatible*: they differ only in
-        controller key, so one batch shares a single workload build
-        and steps all lanes through one worker.  Each group occupies
-        one pool slot (or runs inline for workers=1).  A group that
-        raises, crashes, hangs past its deadline, or short-changes the
-        settle (fewer lane results than lanes) is decomposed: the
-        affected lanes retry solo, so one bad lane cannot sink its
-        groupmates' second attempt.
-        """
-        by_kernel: Dict[str, List[Job]] = {}
-        for job in jobs:
-            by_kernel.setdefault(job.kernel, []).append(job)
-        groups: List[List[Job]] = []
-        for kernel_jobs in by_kernel.values():
-            for i in range(0, len(kernel_jobs), batch_size):
-                groups.append(kernel_jobs[i:i + batch_size])
-
-        solo_retry: List[Job] = []
-
-        def _fail(group: List[Job], error: str) -> None:
-            for job in group:
-                by_job[job] = JobOutcome(job=job, source="batch",
-                                         attempts=1, error=error)
-                solo_retry.append(job)
-
-        def _settle(group: List[Job], pairs) -> None:
-            pairs = list(pairs)
-            matched = min(len(group), len(pairs))
-            for job, (result, seconds) in zip(group[:matched],
-                                              pairs[:matched]):
-                self._store(job, result, seconds)
-                by_job[job] = JobOutcome(job=job, source="batch",
-                                         seconds=seconds, attempts=1)
-            if len(pairs) != len(group):
-                error = (f"EngineError: batch worker returned "
-                         f"{len(pairs)} lane result(s) for "
-                         f"{len(group)} lanes")
-                if len(pairs) > len(group):
-                    print(f"engine: {error}; extra results dropped",
-                          file=sys.stderr)
-                else:
-                    _fail(group[matched:], error)
-
-        fault_plan = faults.active()
-
-        def _group_actions(group: List[Job]):
-            if fault_plan is None:
-                return None
-            return fault_plan.worker_actions(
-                f"{self.digest(group[0])}#b1")
-
-        if workers > 1 and len(groups) > 1:
-            self._supervise_groups(groups, workers, _settle, _fail,
-                                   _group_actions)
-        else:
-            for group in groups:
-                try:
-                    pairs = self._batch_worker(
-                        group[0].kernel, [job.key for job in group],
-                        self.scale, self.sim)
-                except Exception:
-                    _fail(group, traceback.format_exc())
-                else:
-                    _settle(group, pairs)
-
-        # Second attempt: each lane of a failed group runs solo, in
-        # process (the pool may be broken if a worker died).
-        for job in solo_retry:
-            outcome = by_job[job]
-            outcome.attempts = 2
-            try:
-                result, seconds = self._worker(
-                    job.kernel, job.key, self.scale, self.sim)
-            except Exception:
-                outcome.error = traceback.format_exc()
-                continue
-            self._store(job, result, seconds)
-            outcome.source = "run"
-            outcome.seconds = seconds
-            outcome.error = None
-
-    def _supervise_groups(self, groups: List[List[Job]], workers: int,
-                          _settle, _fail, _group_actions) -> None:
-        """Watchdog fan-out of batch groups (one attempt per group).
-
-        A group's wall-clock budget is the per-job timeout times its
-        lane count.  Hung groups are failed to solo retry and the pool
-        is rebuilt; innocent in-flight groups are resubmitted.
-        """
-        pending: List[List[Job]] = list(groups)
-        inflight: Dict = {}  # future -> (group, deadline)
-        pool: Optional[ProcessPoolExecutor] = None
-        try:
-            while pending or inflight:
-                while pending and len(inflight) < workers:
-                    group = pending.pop(0)
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(workers, len(groups)))
-                    try:
-                        future = pool.submit(
-                            _run_supervised_batch, self._batch_worker,
-                            _group_actions(group), group[0].kernel,
-                            [job.key for job in group], self.scale,
-                            self.sim)
-                    except BrokenProcessPool:
-                        pending.append(group)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = None
-                        break
-                    deadline = None
-                    if self.timeout is not None:
-                        deadline = (time.monotonic()
-                                    + self.timeout * len(group))
-                    inflight[future] = (group, deadline)
-                now = time.monotonic()
-                poll = _POLL
-                deadlines = [d for _, d in inflight.values()
-                             if d is not None]
-                if deadlines:
-                    poll = max(0.0, min(poll, min(deadlines) - now))
-                done, _ = futures_wait(set(inflight), timeout=poll,
-                                       return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    group, _ = inflight.pop(future)
-                    try:
-                        pairs = future.result(timeout=0)
-                    except Exception as exc:
-                        if isinstance(exc, BrokenProcessPool):
-                            broken = True
-                        _fail(group, traceback.format_exc())
-                    else:
-                        _settle(group, pairs)
-                now = time.monotonic()
-                hung = [future for future, (_, deadline)
-                        in inflight.items()
-                        if deadline is not None and now >= deadline]
-                if hung:
-                    for future in hung:
-                        group, _ = inflight.pop(future)
-                        _fail(group,
-                              "TimeoutError: batch group exceeded "
-                              "its wall-clock budget; worker killed")
-                    for future in list(inflight):
-                        group, _ = inflight.pop(future)
-                        pending.append(group)
-                    if pool is not None:
-                        _terminate_pool(pool)
-                        pool = None
-                elif broken and pool is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = None
         finally:

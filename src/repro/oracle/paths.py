@@ -19,13 +19,10 @@ fused-debug the compiled run loop with ``debug_counters`` on every
            from a full scan and raises on mismatch
 ========== ==========================================================
 
-The batch family (the batched-sweep backend) has its own variants --
-``fused`` (the plain chip fused loop, which batched lanes claim
-bit-identity with), ``solo`` (a one-lane batch), and ``multi`` (the
-case mid-batch between decoy lanes) -- see :data:`FAMILY_VARIANTS`.
-The vector family (the vectorized busy-slot backend) likewise diffs
-``VectorGPU`` against the plain fused chip loop, in three modes
-(bursts live, fast-forward off, debug counters on).
+The vector family (the vectorized busy-slot backend) has its own
+variants -- see :data:`FAMILY_VARIANTS` -- diffing ``VectorGPU``
+against the plain fused chip loop in three modes (bursts live,
+fast-forward off, debug counters on).
 
 The hooks family exercises the hooks and GWDE specialization axes on
 the chip skeleton: ``fused`` is the per-run dispatcher (hook-free
@@ -52,7 +49,6 @@ Divergence between them and the compiled loops is exactly what the
 oracle exists to catch.
 """
 
-import dataclasses
 from typing import Dict, List, Optional
 
 from ..config import EqualizerConfig, GPUConfig, SimConfig
@@ -76,8 +72,6 @@ LOOP_FAMILIES = {
     "chip-loop@hooks": "hooks",
     "per-sm-loop": "per-sm",
     "per-sm-loop@hooks": "per-sm",
-    "batch-loop": "batch",
-    "batch-loop@hooks": "batch",
     "vector-loop": "vector",
 }
 
@@ -86,13 +80,6 @@ LOOP_FAMILIES = {
 VARIANTS = ("fused", "fused-noff", "method", "fused-debug")
 REFERENCE_VARIANT = "fused"
 
-#: The batch family diffs the batched backend against the fused chip
-#: loop it claims bit-identity with: its "fused" reference *is* the
-#: plain chip fused path (same clocking, same epoch axis), "solo" runs
-#: the case as a one-lane batch, and "multi" runs it mid-batch between
-#: two decoy lanes (different seeds) to witness cross-lane isolation.
-#: So every batch pair the oracle checks is literally a
-#: batched-vs-fused leaf-exact diff.
 #: The vector family diffs the vectorized busy-slot backend against
 #: the fused chip loop it claims bit-identity with: "fused" is the
 #: plain chip fused path, "vector" the VectorGPU run loop with span
@@ -108,7 +95,6 @@ REFERENCE_VARIANT = "fused"
 FAMILY_VARIANTS = {
     "chip": VARIANTS,
     "per-sm": VARIANTS,
-    "batch": ("fused", "solo", "multi"),
     "vector": ("fused", "vector", "vector-noff", "vector-debug"),
     "hooks": ("fused", "hook-free", "hook-bearing", "method"),
 }
@@ -142,7 +128,7 @@ def discover_families() -> Dict[str, List[str]]:
 
 
 def all_paths() -> List[str]:
-    """Every path id, e.g. ``chip:fused``, ``batch:solo``."""
+    """Every path id, e.g. ``chip:fused``, ``vector:vector``."""
     return [f"{family}:{variant}"
             for family in sorted(discover_families())
             for variant in variants_for(family)]
@@ -404,39 +390,6 @@ class MethodPathPerSMVRMGPU(PerSMVRMGPU):
 _CHIP_CLASSES = {"method": MethodPathGPU}
 _PER_SM_CLASSES = {"method": MethodPathPerSMVRMGPU}
 
-#: Seed perturbations for the decoy lanes of ``batch:multi``.  Any
-#: nonzero masks do; fixed values keep the path deterministic.
-_DECOY_SEED_MASKS = (0x5A5A5A5A, 0x3C3C3C3C)
-
-
-def _run_batch_variant(case: OracleCase, variant: str, sim: SimConfig,
-                       workload, controller) -> RunResult:
-    """One batch-family path: fused reference, solo lane, or mid-batch.
-
-    ``fused`` runs the plain chip fused loop -- the exact path batched
-    lanes claim bit-identity with -- so the family's within-family
-    diffs are batched-vs-fused by construction.
-    """
-    from ..power.energy_model import compute_energy
-    from ..sim.batch import BatchLane, run_batch
-    if variant == "fused":
-        gpu = GPU(sim, controller=controller)
-        return compute_energy(gpu.run(workload), sim.power, sim.gpu)
-    lane = BatchLane(workload=workload, sim=sim, controller=controller)
-    if variant == "solo":
-        return run_batch([lane])[0]
-    # "multi": the case runs mid-batch between two decoy lanes seeded
-    # differently, witnessing that lanes share no observable state.
-    decoys = []
-    for mask in _DECOY_SEED_MASKS:
-        dcase = dataclasses.replace(case, seed=case.seed ^ mask)
-        dsim = build_sim(dcase)
-        decoys.append(BatchLane(
-            workload=build_case_workload(dcase), sim=dsim,
-            controller=make_case_controller(dcase, "batch", dsim)))
-    return run_batch([decoys[0], lane, decoys[1]])[1]
-
-
 def _run_vector_variant(case: OracleCase, variant: str, sim: SimConfig,
                         workload, controller) -> RunResult:
     """One vector-family path: fused reference or a VectorGPU mode.
@@ -502,9 +455,6 @@ def run_case_path(case: OracleCase, path_id: str,
         sim = build_sim(case)
     workload = build_case_workload(case)
     controller = make_case_controller(case, family, sim)
-    if family == "batch":
-        return _run_batch_variant(case, variant, sim, workload,
-                                  controller)
     if family == "vector":
         return _run_vector_variant(case, variant, sim, workload,
                                    controller)

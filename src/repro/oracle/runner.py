@@ -239,7 +239,7 @@ def run_oracle(seed: int = 0, n: int = 50,
     """One oracle sweep; see the module docstring.
 
     ``budget_s`` bounds wall time: the sweep processes cases in
-    batches and stops (reporting how many of the planned cases it
+    chunks and stops (reporting how many of the planned cases it
     covered -- never silently) once the budget is spent.  Findings are
     shrunk (sharing the remaining budget) and dumped to ``dump_dir``.
     """
@@ -251,17 +251,17 @@ def run_oracle(seed: int = 0, n: int = 50,
                     cache_dir=cache_dir, use_cache=use_cache,
                     worker=oracle_worker)
     seeds = case_seeds(seed, n)
-    batch_size = max(4, jobs * 2)
+    chunk = max(4, jobs * 2)
     elapsed = 0.0
-    for lo in range(0, n, batch_size):
+    for lo in range(0, n, chunk):
         elapsed = time.perf_counter() - start
         if budget_s is not None and elapsed > budget_s:
             report.budget_exhausted = True
             break
-        batch = [generate_case(s) for s in seeds[lo:lo + batch_size]]
+        cases = [generate_case(s) for s in seeds[lo:lo + chunk]]
         plan = []
         job_index: Dict[Tuple[int, str], Job] = {}
-        for case in batch:
+        for case in cases:
             for path_id in selected:
                 job = oracle_job(case, path_id)
                 job_index[(case.seed, path_id)] = job
@@ -269,7 +269,7 @@ def run_oracle(seed: int = 0, n: int = 50,
         exec_report = engine.execute(plan, workers=jobs)
         errors = {o.job: o.error for o in exec_report.outcomes
                   if not o.ok}
-        for case in batch:
+        for case in cases:
             report.cases_run += 1
             _evaluate_case(case, groups, engine, job_index, errors,
                            report, log)

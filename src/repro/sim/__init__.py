@@ -8,7 +8,6 @@ global work distribution engine, and independently clocked SM/memory
 frequency domains.
 """
 
-from .batch import BatchLane, BatchLaneGPU, run_batch
 from .clock import ClockDomain
 from .gpu import GPU, run_kernel, run_workload
 from .per_sm_vrm import (PerSMEqualizerController, PerSMVRMGPU,
@@ -16,9 +15,6 @@ from .per_sm_vrm import (PerSMEqualizerController, PerSMVRMGPU,
 from .results import RunResult, KernelResult
 
 __all__ = [
-    "BatchLane",
-    "BatchLaneGPU",
-    "run_batch",
     "ClockDomain",
     "GPU",
     "run_kernel",

@@ -16,8 +16,6 @@ time:
                                -- the fused chip-wide run loop;
 * ``PerSMVRMGPU._loop_hook_free`` / ``_loop_hook_bearing``
                                -- the fused per-SM-VRM run loop;
-* ``BatchLaneGPU._chunk_hook_free`` / ``_chunk_hook_bearing``
-                               -- the resumable batched-sweep stepper;
 * ``VectorGPU._loop_hook_free``-- the vectorized busy-slot run loop.
 
 A *skeleton* template per loop supplies the specialization points the
@@ -529,44 +527,6 @@ gwde.live -= 1
 """
 
 
-#: Batched-sweep service gate: the standard gate, with the idle
-#: ``continue`` branch replaced by *parking*.  A parked SM leaves the
-#: per-cycle service scan entirely (its ``runnable`` flag clears) and
-#: registers its next due cycle -- the minimum of its sleep buckets --
-#: in the loop's wake calendar.  A fill delivery, an epoch boundary, or
-#: an invocation start re-admits it out of band; the gate's lag
-#: catch-up then replays the parked span exactly as it does for the
-#: standard gate's lagging SMs, so parking is observationally
-#: equivalent to scanning.  Spurious wakes (a stale calendar entry
-#: from before an out-of-band re-admission) fall straight back into
-#: this branch and re-park, so they are safe, merely wasted work.
-BATCH_GATE = """\
-buckets = sm._sleep_buckets
-bucket = buckets.pop(target, None)
-ready_alu = sm.ready_alu
-ready_mem = sm.ready_mem
-lsu_queue = sm.lsu_queue
-lsu_busy = sm._lsu_busy
-if bucket is None and not (
-        ready_alu or ready_mem
-        or lsu_queue or lsu_busy):
-    runnable[sm.sm_id] = False
-    gpu._batch_nrun -= 1
-    if buckets:
-        w = min(buckets)
-        wbucket = wake_cal.get(w)
-        if wbucket is None:
-            wake_cal[w] = [sm.sm_id]
-        else:
-            wbucket.append(sm.sm_id)
-    continue
-lag = target - 1 - sm.cycle
-if lag:
-    sm.skip_cycles(lag, interval)
-sm.cycle = target
-"""
-
-
 #: Vectorized busy-slot gate: the standard gate with an *ahead* guard
 #: in front and a burst hand-off behind.  A successful burst executes a
 #: whole run-ahead span of SM cycles at once (see
@@ -807,97 +767,6 @@ def _cycle_loop(self, workload):
 
 
 # ----------------------------------------------------------------------
-# The batched-sweep chunk stepper (BatchLaneGPU._cycle_chunk).
-# ----------------------------------------------------------------------
-BATCH_LOOP = '''\
-def _cycle_chunk(self, workload, until_tick):
-    """Advance the prepared invocation by at most a tick budget.
-
-    Compiled from repro.sim.cycle_kernel (batched-sweep
-    specialization): the chip-wide loop semantics -- one shared SM
-    clock domain, cycle-major iteration, epochs on the SM-cycle axis
-    -- restructured for sweep batching:
-
-    * *resumable*: the loop exits once ``self.tick`` reaches
-      ``until_tick`` and continues bit-exactly on the next call, so
-      the batch scheduler can interleave many lanes through one
-      process in bounded-skew lockstep;
-    * *wake calendar*: idle SMs park out of the per-cycle service
-      scan (see the batch gate) and are re-admitted by a calendar
-      keyed on their next due cycle, so a cycle whose runnable set is
-      empty costs one dictionary probe instead of an O(SMs) scan.
-
-    Returns True when the invocation has drained, False when the
-    budget ran out first.
-    """
-    ${prologue}
-    sm_domain = self.sm_domain
-    runnable = self._batch_runnable
-    wake_cal = self._batch_wake_calendar
-    orders = [[sms[i] for i in range(s, nsms)]
-              + [sms[i] for i in range(s)]
-              for s in range(nsms)]
-    ${gwde_while}
-        if self.tick >= until_tick:
-            return False
-        if self.tick >= max_ticks:
-            raise SimulationError(
-                f"{workload.name}: exceeded max_ticks={max_ticks}")
-        ${ff_check}
-        tick = self.tick + 1
-        self.tick = tick
-        # sm_domain.advance() unrolled, exactly as in the chip loop.
-        acc = sm_domain._acc + sm_domain.rate
-        n = int(acc)
-        sm_domain._acc = acc - n
-        cbase = sm_domain.cycles
-        sm_domain.cycles = cbase + n
-        order = orders[tick % nsms]
-        for j in range(n):
-            target = cbase + j + 1
-            woken = wake_cal.pop(target, None)
-            if woken is not None:
-                nr = self._batch_nrun
-                for i in woken:
-                    if not runnable[i]:
-                        runnable[i] = True
-                        nr += 1
-                self._batch_nrun = nr
-            if self._batch_nrun:
-                for sm in order:
-                    if not runnable[sm.sm_id]:
-                        continue
-                    ${batch_gate}
-                    ${cycle_core}
-        ${mem_advance}
-        if sm_domain.cycles >= self._next_epoch_cycle:
-            c = sm_domain.cycles
-            for sm in sms:
-                lag = c - sm.cycle
-                if lag:
-                    sm.skip_cycles(lag, interval)
-            while sm_domain.cycles >= self._next_epoch_cycle:
-                self._handle_epoch()
-                self._next_epoch_cycle += epoch_cycles
-            self._ff_blocked = False
-            # Controller actions (pause/unpause/launch, VF moves) can
-            # arm any SM; re-admit the whole chip and let the idle
-            # ones park again at their next gated cycle.
-            wake_cal.clear()
-            for i in range(nsms):
-                runnable[i] = True
-            self._batch_nrun = nsms
-    c = sm_domain.cycles
-    for sm in sms:
-        lag = c - sm.cycle
-        if lag:
-            sm.skip_cycles(lag, interval)
-    self._invocation_ticks.append(self.tick - self._inv_start_tick)
-    return True
-'''
-
-
-# ----------------------------------------------------------------------
 # The single-SM reference entry point (SM.cycle_once).
 # ----------------------------------------------------------------------
 CYCLE_ONCE = '''\
@@ -1060,7 +929,6 @@ def _fragments() -> dict:
         "prologue": LOOP_PROLOGUE,
         "ff_check": FF_CHECK,
         "gate": CYCLE_GATE,
-        "batch_gate": BATCH_GATE,
         "vector_gate": VECTOR_GATE,
         "cycle_core": SM_CYCLE_CORE,
         "mem_advance": MEM_ADVANCE,
@@ -1114,9 +982,8 @@ def _unresolved_names(source: str, namespace: dict) -> set:
     """Names ``source`` reads as globals that nothing will ever bind.
 
     A fragment rendered into a skeleton that lacks its local contract
-    (the batch gate's ``runnable`` outside the batch loop, the vector
-    gate's ``vtry`` outside the vector loop) compiles fine and only
-    fails at run time with a ``NameError`` from the generated code.
+    (the vector gate's ``vtry`` outside the vector loop) compiles fine
+    and only fails at run time with a ``NameError`` from the generated code.
     :mod:`symtable` sees the mistake statically: a name a function
     reads but never assigns is an implicit global, and a global that
     is neither in the exec namespace nor a builtin cannot resolve.
@@ -1246,20 +1113,6 @@ SPECIALIZATIONS = {
         "installed_as": "repro.sim.per_sm_vrm.PerSMVRMGPU._loop_hook_bearing",
         "fragments": {"hook_l1_miss": HOOK_L1_MISS_GUARDED},
     },
-    "batch-loop": {
-        "template": BATCH_LOOP,
-        "entry": "_cycle_chunk",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.batch.BatchLaneGPU._chunk_hook_free",
-        "fragments": {"hook_l1_miss": ""},
-    },
-    "batch-loop@hooks": {
-        "template": BATCH_LOOP,
-        "entry": "_cycle_chunk",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.batch.BatchLaneGPU._chunk_hook_bearing",
-        "fragments": {"hook_l1_miss": HOOK_L1_MISS_GUARDED},
-    },
     "vector-loop": {
         "template": VECTOR_LOOP,
         "entry": "_cycle_loop",
@@ -1322,16 +1175,6 @@ def build_per_sm_cycle_loop():
 def build_per_sm_cycle_loop_hooks():
     """Compile the hook-bearing per-SM-VRM fused loop."""
     return build("per-sm-loop@hooks")
-
-
-def build_batch_cycle_chunk():
-    """Compile the hook-free batched-sweep stepper."""
-    return build("batch-loop")
-
-
-def build_batch_cycle_chunk_hooks():
-    """Compile the hook-bearing batched-sweep stepper."""
-    return build("batch-loop@hooks")
 
 
 def build_vector_cycle_loop():

@@ -97,10 +97,6 @@ class GPU:
         self._epoch_index = 0
         self._invocation = 0
         self._invocation_ticks = []
-        #: How many fast-forward jumps actually skipped ticks; the lane
-        #: divergence tests use it to prove a batch lane really took the
-        #: fast-forward fallback path.
-        self.ff_events = 0
         if controller is not None:
             controller.attach(self)
 
@@ -184,17 +180,13 @@ class GPU:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def prepare_invocation(self, workload, invocation: int) -> None:
-        """Stage one invocation: GWDE, per-SM geometry, first launches.
+    def run_invocation(self, workload, invocation: int) -> int:
+        """Run one kernel invocation to completion; return its ticks.
 
         Workloads may optionally provide ``make_gwde(invocation)`` and
         per-SM geometry (``wcta_for_sm`` / ``max_blocks_for_sm``) to run
         different kernels on disjoint SM partitions (Section I's
         concurrent-kernel scenario, :mod:`repro.sim.multikernel`).
-
-        Split out of :meth:`run_invocation` so resumable run loops
-        (the batched-sweep backend, :mod:`repro.sim.batch`) can stage
-        an invocation once and then step it in bounded chunks.
         """
         self._invocation = invocation
         make_gwde = getattr(workload, "make_gwde", None)
@@ -216,10 +208,6 @@ class GPU:
             self.controller.on_invocation_start(self, invocation)
         for sm in self.sms:
             sm.ensure_blocks()
-
-    def run_invocation(self, workload, invocation: int) -> int:
-        """Run one kernel invocation to completion; return its ticks."""
-        self.prepare_invocation(workload, invocation)
         return self._cycle_loop(workload)
 
     #: The fused run loop's two compiled variants along the hooks axis
@@ -278,7 +266,6 @@ class GPU:
                 ticks = t2
         if ticks is None or ticks < 2:
             return False
-        self.ff_events += 1
         self.tick += ticks
         self.sm_domain.advance_many(ticks)
         c = self.sm_domain.cycles

@@ -59,13 +59,11 @@ cycle with zero draws consumed.
 Everything outside the pure regime -- pauses, hooks, texture state,
 any LSU/MSHR occupancy, non-uniform dependence latencies, non-ALU
 heads, foreign program types -- declines the burst before any state is
-touched and falls through to the scalar body, the same peel-and-
-divergence discipline the batched backend uses per chunk.
+touched and falls through to the scalar body.
 
 numpy is optional: without it :class:`VectorGPU` keeps the scalar chip
-loop (same gating pattern as ``BatchState``), and every result is
-identical either way -- the vector oracle family, the golden digests,
-and the numpy-absent CI job all pin this.
+loop, and every result is identical either way -- the vector oracle
+family, the golden digests, and the numpy-absent CI job all pin this.
 """
 
 import heapq

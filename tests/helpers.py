@@ -5,6 +5,10 @@ synthetic kernels so the whole suite stays fast while still exercising
 the real machinery end to end.
 """
 
+import os
+import signal
+import time
+
 from repro.config import EqualizerConfig, GPUConfig, PowerConfig, SimConfig
 from repro.workloads import KernelSpec, Phase, build_workload
 
@@ -67,3 +71,44 @@ def cache_spec(**overrides) -> KernelSpec:
 
 def tiny_workload(spec=None, seed=7):
     return build_workload(spec or compute_spec(), seed=seed)
+
+
+def live_group_members(pgid: int):
+    """Pids of the not-yet-dead processes in process group ``pgid``.
+
+    Zombies are dead already (only their exit status is left for a
+    parent to collect), so they do not count.
+    """
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp.
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def kill_process_group(pgid: int, timeout_s: float = 10.0):
+    """SIGKILL a whole process group; return its members still alive.
+
+    Tests that SIGKILL a subprocess spawned with
+    ``start_new_session=True`` call this afterwards, so the pool
+    workers the dead leader left behind die with it.
+    """
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return []
+    deadline = time.monotonic() + timeout_s
+    while True:
+        alive = live_group_members(pgid)
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)

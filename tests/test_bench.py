@@ -5,10 +5,9 @@ import json
 import pytest
 
 from helpers import tiny_sim
-from repro.bench import (BENCH_FORMAT, BenchError, batch_sweep_keys,
-                         bench_batch_sweep, bench_kernel, compare,
-                         geomean, load_results, machine_fingerprint,
-                         run_suite, save_results)
+from repro.bench import (BENCH_FORMAT, BenchError, bench_kernel,
+                         compare, geomean, load_results,
+                         machine_fingerprint, run_suite, save_results)
 from repro.bench.__main__ import main
 
 
@@ -61,19 +60,6 @@ def test_bench_kernel_multikernel_variant():
     assert row["ticks"] != solo["ticks"]  # the partner changes the run
 
 
-def test_bench_batch_sweep_row_schema():
-    """The @batch rows time a 16-lane sweep and record the honest
-    batched-vs-sequential ratio."""
-    row = bench_batch_sweep("cutcp", scale=0.05, sim=tiny_sim())
-    assert row["lanes"] == len(batch_sweep_keys()) == 16
-    assert row["ticks"] > 0
-    assert row["wall_s"] > 0 and row["seq_wall_s"] > 0
-    assert row["ticks_per_sec"] == pytest.approx(
-        row["ticks"] / row["wall_s"], rel=0.01)
-    assert row["speedup_vs_sequential"] == pytest.approx(
-        row["seq_wall_s"] / row["wall_s"], rel=0.01)
-
-
 def test_bench_kernel_controller_variants():
     """The @ccws/@dyncta rows run the third-party baselines on the
     scalar chip GPU and stay deterministic."""
@@ -82,11 +68,6 @@ def test_bench_kernel_controller_variants():
                            sim=tiny_sim(), variant=variant)
         assert row["ticks"] > 0
         assert row["ticks_per_sec"] > 0
-
-
-def test_bench_batch_sweep_rejects_bad_repeats():
-    with pytest.raises(BenchError):
-        bench_batch_sweep("cutcp", repeats=0)
 
 
 def test_machine_fingerprint_is_stable_and_stringly():

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from helpers import kill_process_group
 from repro import faults
 from repro.engine import (DiskCache, Engine, Job, JobStore,
                           execute_job)
@@ -113,22 +114,6 @@ class TestWorkerCrash:
         store.close()
         assert (cache_payloads(str(tmp_path / "cache"))
                 == clean_reference_cache(tmp_path, PLAN))
-
-    def test_batch_group_crash_falls_back_to_solo(self, tmp_path,
-                                                  monkeypatch):
-        # Every *worker* submission crashes (token "<digest>#b1" and
-        # "#a1" both fire at rate 1.0); the solo retry runs inline in
-        # the driver, which the harness never faults, so it lands.
-        # Two kernels -> two groups, which is what routes the groups
-        # through the supervised pool rather than inline.
-        monkeypatch.setenv(faults.ENV_VAR, "crash@1.0")
-        engine = make_engine(tmp_path, batch_size=4)
-        report = engine.execute([Job(k, key) for k in FAST
-                                 for key in (BASELINE, EQ_PERF)],
-                                workers=2)
-        assert not report.failures
-        assert all(o.attempts == 2 and o.source == "run"
-                   for o in report.outcomes)
 
 
 class TestHang:
@@ -234,43 +219,51 @@ class TestDriverDeath:
                 "--scale", str(SCALE), "--ledger", ledger,
                 "--cache-dir", cache_dir, "--jobs", "1",
                 "--timeout", "600", "--lease", "600"]
+        # Its own session, so the hung pool workers it leaves behind
+        # can be killed as a group once the test is done with them.
         driver = subprocess.Popen(argv, env=env,
                                   stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL)
+                                  stderr=subprocess.DEVNULL,
+                                  start_new_session=True)
         try:
-            # Wait for the doomed driver to claim its job, then kill
-            # it mid-flight, stranding the claim.
-            deadline = time.monotonic() + 60.0
-            claimed = False
-            while time.monotonic() < deadline:
-                if os.path.exists(ledger):
-                    store = JobStore(ledger)
-                    counts = store.counts()
-                    store.close()
-                    if (counts.get("claimed", 0)
-                            + counts.get("running", 0)):
-                        claimed = True
-                        break
-                time.sleep(0.1)
-            assert claimed, "sweep subprocess never claimed a job"
-        finally:
-            driver.kill()
-            driver.wait()
+            try:
+                # Wait for the doomed driver to claim its job, then
+                # kill it mid-flight, stranding the claim.
+                deadline = time.monotonic() + 60.0
+                claimed = False
+                while time.monotonic() < deadline:
+                    if os.path.exists(ledger):
+                        store = JobStore(ledger)
+                        counts = store.counts()
+                        store.close()
+                        if (counts.get("claimed", 0)
+                                + counts.get("running", 0)):
+                            claimed = True
+                            break
+                    time.sleep(0.1)
+                assert claimed, "sweep subprocess never claimed a job"
+            finally:
+                driver.kill()
+                driver.wait()
 
-        # Resume without faults: the dead driver's pid is gone, so the
-        # reaper reclaims the stranded job well before the 600s lease.
-        assert engine_main(["sweep", "--resume", "--experiments",
-                            "fig4", "--kernels", "prtcl-2",
-                            "--scale", str(SCALE), "--ledger", ledger,
-                            "--cache-dir", cache_dir]) == 0
-        store = JobStore(ledger)
-        counts = store.counts()
-        store.close()
-        assert counts["done"] == 1
-        assert sum(counts.values()) == counts["done"]
-        assert (cache_payloads(cache_dir)
-                == clean_reference_cache(
-                    tmp_path, [Job("prtcl-2", BASELINE)]))
+            # Resume without faults: the dead driver's pid is gone, so
+            # the reaper reclaims the stranded job well before the
+            # 600s lease.
+            assert engine_main(["sweep", "--resume", "--experiments",
+                                "fig4", "--kernels", "prtcl-2",
+                                "--scale", str(SCALE), "--ledger",
+                                ledger, "--cache-dir", cache_dir]) == 0
+            store = JobStore(ledger)
+            counts = store.counts()
+            store.close()
+            assert counts["done"] == 1
+            assert sum(counts.values()) == counts["done"]
+            assert (cache_payloads(cache_dir)
+                    == clean_reference_cache(
+                        tmp_path, [Job("prtcl-2", BASELINE)]))
+        finally:
+            orphans = kill_process_group(driver.pid)
+        assert orphans == [], "the dead driver's workers outlived it"
 
 
 class TestLeaseExpiry:

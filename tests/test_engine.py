@@ -262,52 +262,6 @@ class TestRetry:
         assert "(no error detail)" in str(excinfo.value)
 
 
-def short_batch_worker(kernel, keys, scale, sim):
-    """Lose the last lane's result, as a buggy backend might."""
-    from repro.engine import execute_batch_group
-    return execute_batch_group(kernel, keys, scale, sim)[:-1]
-
-
-def long_batch_worker(kernel, keys, scale, sim):
-    from repro.engine import execute_batch_group
-    pairs = execute_batch_group(kernel, keys, scale, sim)
-    return pairs + [pairs[-1]]
-
-
-class TestBatchSettle:
-    """A batch backend returning the wrong lane count must not be
-    silently zip-truncated: short groups route the unreported lanes
-    to solo retry, long groups drop the extras loudly."""
-
-    def test_missing_lane_is_solo_retried(self, tmp_path):
-        engine = tiny_engine(tmp_path, batch_size=4,
-                             worker=execute_job,
-                             batch_worker=short_batch_worker)
-        plan = [Job("prtcl-2", key) for key in (BASELINE, EQ_PERF)]
-        report = engine.execute(plan)
-        assert not report.failures
-        by_source = sorted(o.source for o in report.outcomes)
-        assert by_source == ["batch", "run"]
-        retried = next(o for o in report.outcomes
-                       if o.source == "run")
-        assert retried.attempts == 2
-        # The retried lane's result must be real (and cached).
-        hit, source = tiny_engine(tmp_path).lookup(retried.job)
-        assert hit is not None and source == "disk"
-
-    def test_extra_lane_results_are_dropped_loudly(self, tmp_path,
-                                                   capsys):
-        engine = tiny_engine(tmp_path, batch_size=4,
-                             batch_worker=long_batch_worker)
-        plan = [Job("prtcl-2", key) for key in (BASELINE, EQ_PERF)]
-        report = engine.execute(plan)
-        assert not report.failures
-        assert all(o.source == "batch" and o.attempts == 1
-                   for o in report.outcomes)
-        assert "3 lane result(s) for 2 lanes" in \
-            capsys.readouterr().err
-
-
 class TestFacade:
     def test_run_cache_rejects_double_configuration(self, tmp_path):
         from repro.errors import ExperimentError

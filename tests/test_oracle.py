@@ -13,6 +13,7 @@ divergence replayed on every run as a regression gate.
 """
 
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -27,6 +28,7 @@ from repro.oracle import (REFERENCE_VARIANT, VARIANTS, OracleCase,
                           discover_families, generate_case,
                           load_reproducer, run_oracle, split_path,
                           variants_for, write_reproducer)
+from repro.oracle.paths import FAMILY_VARIANTS, LOOP_FAMILIES
 from repro.oracle.runner import Finding
 from repro.oracle.shrink import case_size, shrink_case
 from repro.sim import cycle_kernel
@@ -97,12 +99,29 @@ def test_every_run_loop_specialization_has_a_family():
     # The classic families keep the classic four-variant expansion.
     assert variants_for("chip") == VARIANTS
     assert variants_for("per-sm") == VARIANTS
-    # The batch family's reference is the fused chip loop, so all of
-    # its diffs are batched-vs-fused.
-    assert variants_for("batch") == ("fused", "solo", "multi")
     # The hooks family covers the hooks/GWDE specialization axes.
     assert variants_for("hooks") == ("fused", "hook-free",
                                      "hook-bearing", "method")
+    # And in the other direction: no binding outlives its loop, and no
+    # variant tuple outlives its family.
+    assert set(LOOP_FAMILIES) == run_loops
+    assert set(FAMILY_VARIANTS) == set(families)
+
+
+def test_every_specialization_is_installed_where_registered():
+    """Each ``installed_as`` path resolves to the live attribute that
+    was compiled from that tag, so a registry entry cannot outlive
+    the class it names."""
+    from repro.sim.vector import have_numpy
+    for tag, spec in cycle_kernel.SPECIALIZATIONS.items():
+        module_name, cls_name, attr = spec["installed_as"].rsplit(".", 2)
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        expected = tag
+        if tag == "vector-loop" and not have_numpy():
+            # Without numpy VectorGPU keeps the inherited chip loop.
+            expected = "chip-loop"
+        filename = getattr(cls, attr).__code__.co_filename
+        assert filename == f"{cycle_kernel.SOURCE_PREFIX}{expected}>", tag
 
 
 def test_unbound_run_loop_specialization_fails_discovery(monkeypatch):

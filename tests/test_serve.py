@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from helpers import kill_process_group
 from repro.engine import execute_job
 from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
                                    REJECT_RATE, RUN,
@@ -360,6 +361,12 @@ class TestLoadgenDeterminism:
 
 
 def _spawn_server(tmp_path, env_extra=None):
+    """Start a server subprocess in its own session.
+
+    Neither SIGKILL nor SIGTERM of the server reaches its pool
+    workers, so callers kill the whole group with
+    :func:`helpers.kill_process_group` when they are done.
+    """
     env = dict(os.environ, PYTHONPATH="src")
     env.pop("REPRO_FAULTS", None)
     env.update(env_extra or {})
@@ -370,7 +377,7 @@ def _spawn_server(tmp_path, env_extra=None):
          "--ledger", str(tmp_path / "ledger.sqlite"),
          "--max-attempts", "4"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True)
+        text=True, start_new_session=True)
     line = proc.stdout.readline().strip()
     assert line.startswith("serving on http://"), line
     port = int(line.rsplit(":", 1)[1])
@@ -394,50 +401,57 @@ class TestCrashRecovery:
         # acked job is still queued/claimed when SIGKILL lands --
         # durability comes from the ledger write before the 202, not
         # from luck about what finished.
-        proc, port = _spawn_server(
+        doomed, port = _spawn_server(
             tmp_path,
             env_extra={"REPRO_FAULTS": "hang@1.0:hang_s=300"})
-        digests = []
+        servers = [doomed]
         try:
-            front = _PortServer(port)
-            for body in jobs:
-                status, _, payload = http(front, "POST", "/simulate",
-                                          body)
-                assert status == 202
-                digests.append(json.loads(payload)["digest"])
-        finally:
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait()
+            digests = []
+            try:
+                front = _PortServer(port)
+                for body in jobs:
+                    status, _, payload = http(front, "POST",
+                                              "/simulate", body)
+                    assert status == 202
+                    digests.append(json.loads(payload)["digest"])
+            finally:
+                os.kill(doomed.pid, signal.SIGKILL)
+                doomed.wait()
 
-        # Second life on the same ledger -- with injected worker
-        # crashes for good measure; retries must still converge.
-        proc, port = _spawn_server(
-            tmp_path,
-            env_extra={"REPRO_FAULTS": "crash@0.3:seed=11"})
-        try:
-            front = _PortServer(port)
-            recovered = {}
-            for digest in digests:
-                status, payload = poll_result(front, digest,
-                                              deadline_s=120.0)
-                assert status == 200
-                recovered[digest] = payload
-        finally:
-            proc.terminate()
-            proc.wait()
+            # Second life on the same ledger -- with injected worker
+            # crashes for good measure; retries must still converge.
+            proc, port = _spawn_server(
+                tmp_path,
+                env_extra={"REPRO_FAULTS": "crash@0.3:seed=11"})
+            servers.append(proc)
+            try:
+                front = _PortServer(port)
+                recovered = {}
+                for digest in digests:
+                    status, payload = poll_result(front, digest,
+                                                  deadline_s=120.0)
+                    assert status == 200
+                    recovered[digest] = payload
+            finally:
+                proc.terminate()
+                proc.wait()
 
-        # Uninterrupted reference run: same jobs, fresh everything.
-        reference = SimServer(
-            scale=SCALE, workers=1,
-            cache_dir=str(tmp_path / "ref-cache"),
-            ledger=str(tmp_path / "ref-ledger.sqlite"))
-        reference.start_background()
-        try:
-            for body, digest in zip(jobs, digests):
-                clean = dict(body, wait=True)
-                status, _, payload = http(reference, "POST",
-                                          "/simulate", clean)
-                assert status == 200
-                assert payload == recovered[digest]
+            # Uninterrupted reference run: same jobs, fresh everything.
+            reference = SimServer(
+                scale=SCALE, workers=1,
+                cache_dir=str(tmp_path / "ref-cache"),
+                ledger=str(tmp_path / "ref-ledger.sqlite"))
+            reference.start_background()
+            try:
+                for body, digest in zip(jobs, digests):
+                    clean = dict(body, wait=True)
+                    status, _, payload = http(reference, "POST",
+                                              "/simulate", clean)
+                    assert status == 200
+                    assert payload == recovered[digest]
+            finally:
+                reference.stop_background()
         finally:
-            reference.stop_background()
+            orphans = [pid for server in servers
+                       for pid in kill_process_group(server.pid)]
+        assert orphans == [], "a dead server's workers outlived it"
