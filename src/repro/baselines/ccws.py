@@ -20,6 +20,7 @@ and weak behaviour on mildly cache-sensitive kernels -- carries over.
 from ..core.controller import Controller
 from ..errors import ConfigError
 from ..sim.cache import VictimTagArray
+from ..sim.warp import W_DONE
 
 
 class CCWSController(Controller):
@@ -96,8 +97,22 @@ class CCWSController(Controller):
             scores = self._scores[i]
             live = [w for b in sm.blocks for w in b.warps
                     if b.remaining > 0]
-            # Decay, and drop state for retired warps.
+            # Drop all state of retired warps, so it does not keep
+            # them (and their freed blocks) alive.  A retired warp
+            # never misses again: its victim tags are never read, and
+            # only live warps' scores are summed or ranked below.
+            vtas = self._vtas[i]
+            for warp in [w for w in vtas if w.state == W_DONE]:
+                del vtas[warp]
+            owners = self._owners[i]
+            for line in [ln for ln, w in owners.items()
+                         if w.state == W_DONE]:
+                del owners[line]
+            # Decay the rest.
             for warp in list(scores):
+                if warp.state == W_DONE:
+                    del scores[warp]
+                    continue
                 scores[warp] *= self.score_decay
                 if scores[warp] < 1.0:
                     del scores[warp]

@@ -7,12 +7,14 @@ Usage::
 
 Prints ``serving on http://HOST:PORT`` once the listener is up (the
 integration tests and the loadgen's subprocess mode parse that line),
-then serves until interrupted.  Restarting with the same ``--ledger``
-resumes any queued jobs.
+then serves until interrupted (SIGINT or SIGTERM).  Restarting with
+the same ``--ledger`` resumes any queued jobs.
 """
 
 import argparse
 import asyncio
+import os
+import signal
 import sys
 
 from ..engine.cache import DEFAULT_CACHE_DIR
@@ -62,6 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM stops the server like SIGINT: the interrupt unwinds the
+    # loop and the engine pool shuts down with the interpreter, so no
+    # worker outlives the server.  Forked pool workers get the default
+    # action back, so the engine watchdog's terminate still kills a
+    # hung worker instead of interrupting its job.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    os.register_at_fork(after_in_child=lambda: signal.signal(
+        signal.SIGTERM, signal.SIG_DFL))
     server = SimServer(
         scale=args.scale, workers=args.workers, host=args.host,
         port=args.port, cache_dir=args.cache_dir, ledger=args.ledger,
@@ -71,8 +81,8 @@ def main(argv=None) -> int:
     try:
         asyncio.run(server.serve())
     except KeyboardInterrupt:
-        # Queued jobs stay 'new' in the ledger; a restart with the
-        # same --ledger resumes them.
+        # SIGINT or SIGTERM.  Queued jobs stay 'new' in the ledger; a
+        # restart with the same --ledger resumes them.
         print("interrupted; queued jobs remain in "
               f"{server.ledger_path}", file=sys.stderr)
     return 0

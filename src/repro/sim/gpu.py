@@ -354,10 +354,12 @@ def run_kernel(workload, sim: SimConfig, controller=None,
         from .vector import default_gpu_class
         gpu_class = default_gpu_class()
     gpu = gpu_class(sim, controller=controller)
-    # The cycle loop allocates heavily (accesses, response buckets) but
-    # its reference cycles (warp <-> block) live for the whole run, so
-    # collector passes during the run only burn time.  Suspend the GC
-    # for the simulation and restore the caller's setting after.
+    # The cycle loop allocates heavily (accesses, response buckets,
+    # blocks and warps), but retirement frees a block and its warps by
+    # reference counting, and the only cycle left (the GPU <-> SM
+    # graph) lives for the whole run, so collector passes during the
+    # run only burn time.  Suspend the GC for the simulation and
+    # restore the caller's setting after.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()

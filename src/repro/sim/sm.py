@@ -303,6 +303,12 @@ class SM:
             block.remaining -= 1
             if block.remaining == 0:
                 self._block_finished(block)
+                # Free the retired CTA now, as the hardware does: this
+                # breaks the block <-> warp reference cycle, so
+                # reference counting releases the block, its warps and
+                # their programs without waiting for the collector
+                # (which run_kernel suspends for the whole run).
+                block.warps = block.held = ()
             return
         warp.state = W_BARRIER
         if not warp.paused and (prev == W_SLEEP or prev == W_WAITMEM):

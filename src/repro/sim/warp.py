@@ -77,6 +77,8 @@ class ThreadBlock:
 
     def __init__(self, bid: int) -> None:
         self.bid = bid
+        #: The block's warps; emptied (with :attr:`held`) when the
+        #: block retires, so retirement frees the warps.
         self.warps = []
         #: Activation stamp (set by the SM at launch and unpause); the
         #: CTA-pausing victim is the block with the highest stamp.

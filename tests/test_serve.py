@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from helpers import kill_process_group
+from helpers import kill_process_group, live_group_members
 from repro.engine import execute_job
 from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
                                    REJECT_RATE, RUN,
@@ -363,9 +363,10 @@ class TestLoadgenDeterminism:
 def _spawn_server(tmp_path, env_extra=None):
     """Start a server subprocess in its own session.
 
-    Neither SIGKILL nor SIGTERM of the server reaches its pool
-    workers, so callers kill the whole group with
-    :func:`helpers.kill_process_group` when they are done.
+    SIGTERM (like SIGINT) stops the server together with its pool
+    workers, but SIGKILL does not reach them, so callers kill the
+    whole group with :func:`helpers.kill_process_group` when they are
+    done.
     """
     env = dict(os.environ, PYTHONPATH="src")
     env.pop("REPRO_FAULTS", None)
@@ -455,3 +456,22 @@ class TestCrashRecovery:
             orphans = [pid for server in servers
                        for pid in kill_process_group(server.pid)]
         assert orphans == [], "a dead server's workers outlived it"
+
+
+class TestShutdown:
+    def test_sigterm_stops_server_and_workers(self, tmp_path):
+        proc, port = _spawn_server(tmp_path)
+        try:
+            # A simulated run starts the engine's pool worker.
+            status, _, _ = http(_PortServer(port), "POST", "/simulate",
+                                {"kernel": KERNEL, "key": ["baseline"]})
+            assert status == 200
+            proc.terminate()
+            code = proc.wait(timeout=60)
+            # Read before the cleanup kill below can hide a survivor.
+            alive = live_group_members(proc.pid)
+        finally:
+            orphans = kill_process_group(proc.pid)
+        assert code == 0
+        assert alive == [], "a pool worker outlived its SIGTERMed server"
+        assert orphans == []
