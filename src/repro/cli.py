@@ -20,8 +20,8 @@ import argparse
 import os
 import sys
 
-from .engine import (DEFAULT_CACHE_DIR, DEFAULT_MAX_ATTEMPTS,
-                     DEFAULT_TIMEOUT, Engine, collect_jobs, dump_json)
+from .engine import collect_jobs, dump_json
+from .engine.__main__ import add_engine_arguments, build_engine
 from .errors import ReproError
 from .experiments import common
 from .experiments import (ablations, boost_comparison,
@@ -56,38 +56,6 @@ _KERNEL_AWARE = {"fig1", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",
                  "headline", "boost"}
 
 
-def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The engine flags shared with ``python -m repro.engine``."""
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for simulation fan-out "
-                             "(default: 1, serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the on-disk run cache entirely")
-    parser.add_argument("--cache-dir", type=str,
-                        default=DEFAULT_CACHE_DIR, metavar="DIR",
-                        help="on-disk run cache location "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--timeout", type=float,
-                        default=DEFAULT_TIMEOUT, metavar="S",
-                        help="per-job wall-clock budget; hung "
-                             "workers are killed past it (default: "
-                             f"{DEFAULT_TIMEOUT:.0f}s)")
-    parser.add_argument("--max-attempts", type=int,
-                        default=DEFAULT_MAX_ATTEMPTS, metavar="N",
-                        help="attempt budget per job before it is "
-                             "reported failed (default: "
-                             f"{DEFAULT_MAX_ATTEMPTS})")
-
-
-def build_engine(args, sim=None) -> Engine:
-    """An engine configured from parsed CLI flags."""
-    return Engine(sim=sim or common.default_sim(), scale=args.scale,
-                  jobs=max(1, args.jobs), cache_dir=args.cache_dir,
-                  use_cache=not args.no_cache,
-                  timeout=args.timeout,
-                  max_attempts=args.max_attempts)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="equalizer-repro",
@@ -113,7 +81,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    cache = common.RunCache(engine=build_engine(args))
+    cache = common.RunCache(engine=build_engine(args, args.scale))
     kernels = args.kernels.split(",") if args.kernels else None
     names = ([args.experiment] if args.experiment != "all"
              else sorted(EXPERIMENTS))

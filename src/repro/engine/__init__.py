@@ -6,8 +6,10 @@ pipeline:
 
 * **plan** -- experiment modules declare the jobs they need
   (:func:`collect_jobs` unions the declarations);
-* **execute** -- :class:`Engine` fans the plan out over a process pool
-  with per-job timing, failure capture, and retry-once-on-crash;
+* **execute** -- :class:`Engine` runs the plan's cache misses on a
+  supervised process pool over a :class:`JobStore` ledger (a private
+  in-memory one unless a durable sweep passes its own), with per-job
+  wall-clock deadlines, retry with backoff, and quarantine records;
 * **cache** -- results land in a content-addressed on-disk store
   (:class:`DiskCache`), keyed by a digest of the kernel spec,
   controller key, :class:`~repro.config.SimConfig`, scale, and a

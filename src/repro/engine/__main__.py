@@ -26,18 +26,21 @@ from .jobs import collect_jobs
 from .store import JobStore
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine flags shared with ``python -m repro``."""
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1)")
+                        help="worker processes for simulation fan-out "
+                             "(default: 1)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="skip the on-disk run cache")
+                        help="skip the on-disk run cache entirely")
     parser.add_argument("--cache-dir", type=str,
                         default=DEFAULT_CACHE_DIR, metavar="DIR",
-                        help="on-disk run cache location")
+                        help="on-disk run cache location "
+                             f"(default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--timeout", type=float,
                         default=DEFAULT_TIMEOUT, metavar="S",
-                        help="per-job wall-clock budget; hung workers "
-                             "are killed past it (default: "
+                        help="per-job wall-clock budget; hung "
+                             "workers are killed past it (default: "
                              f"{DEFAULT_TIMEOUT:.0f}s)")
     parser.add_argument("--max-attempts", type=int,
                         default=DEFAULT_MAX_ATTEMPTS, metavar="N",
@@ -46,7 +49,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              f"{DEFAULT_MAX_ATTEMPTS})")
 
 
-def _build_engine(args, scale: float):
+def build_engine(args, scale: float) -> Engine:
+    """An engine configured from parsed :func:`add_engine_arguments`."""
     from ..experiments.common import default_sim
     return Engine(sim=default_sim(), scale=scale,
                   jobs=max(1, args.jobs), cache_dir=args.cache_dir,
@@ -86,7 +90,7 @@ def run_sweep(args) -> int:
             raise EngineError(f"unknown experiment {name!r}")
     kernels = args.kernels.split(",") if args.kernels else None
 
-    engine = _build_engine(args, scale=args.scale)
+    engine = build_engine(args, scale=args.scale)
     plan = collect_jobs([EXPERIMENTS[n] for n in names],
                         kernels=kernels, sim=engine.sim)
     if not plan:
@@ -105,8 +109,7 @@ def run_sweep(args) -> int:
                 pass
     store = JobStore(path)
     try:
-        report = engine.execute_durable(plan, store,
-                                        workers=max(1, args.jobs))
+        report = engine.execute(plan, store=store)
         counts = store.counts()
     finally:
         store.close()
@@ -183,7 +186,7 @@ def run_check(args) -> int:
 
     reference = check_mod.load_reference(args.against)
     kernels = reference["kernels"] or None
-    engine = _build_engine(args, scale=reference["scale"])
+    engine = build_engine(args, scale=reference["scale"])
     cache = RunCache(engine=engine)
 
     plan = check_mod.guard_jobs(kernels=kernels, sim=cache.sim)
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
                          help="claim lease seconds; expired leases "
                               "are reaped back to new (default: "
                               f"{DEFAULT_LEASE:.0f})")
-    _add_engine_flags(sweep_p)
+    add_engine_arguments(sweep_p)
     # A durable sweep wants headroom over the historical retry-once.
     sweep_p.set_defaults(max_attempts=3)
 
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
                               "(default: 0.02)")
     check_p.add_argument("--update", action="store_true",
                          help="rewrite the reference from current code")
-    _add_engine_flags(check_p)
+    add_engine_arguments(check_p)
 
     stats_p = sub.add_parser("cache-stats",
                              help="size of the on-disk run cache")

@@ -2,27 +2,32 @@
 
 :class:`Engine` owns one (SimConfig, scale) pair plus the two cache
 layers -- an in-process memory dict and the content-addressed
-:class:`~repro.engine.cache.DiskCache` -- and executes job plans over a
+:class:`~repro.engine.cache.DiskCache` -- and resolves job plans
+through one supervised watchdog loop over a
 ``concurrent.futures.ProcessPoolExecutor``.
 
-Pool execution is *supervised*: every job carries a wall-clock budget,
-and the watchdog loop never blocks indefinitely on a worker.  A hung
-worker is killed (the whole pool is torn down and rebuilt; innocent
-in-flight jobs are resubmitted without being charged an attempt), a
-failed attempt is retried after a deterministic exponential backoff up
-to a configurable attempt budget, and a job that exhausts its budget
-is retired with a quarantine record carrying the full traceback and an
-exact solo-repro command.  The same watchdog drives both the in-memory
-bookkeeping of :meth:`Engine.execute` and the persistent
-:class:`~repro.engine.store.JobStore` ledger of
-:meth:`Engine.execute_durable`, which survives driver death (``sweep
---resume`` reaps the stranded claims and continues).
+Every plan runs over a :class:`~repro.engine.store.JobStore` ledger:
+the caller's persistent one for a durable sweep (it survives driver
+death; ``sweep --resume`` reaps the stranded claims and continues),
+otherwise a private in-memory one that lives for one
+:meth:`Engine.execute` call.  :meth:`Engine.serve_queue` drives the
+same loop from a live feed.  The watchdog never blocks indefinitely
+on a worker: every job carries a wall-clock budget, a hung worker is
+killed (the whole pool is torn down and rebuilt; innocent in-flight
+jobs are resubmitted without being charged an attempt), a failed
+attempt is retried after a deterministic exponential backoff up to
+the attempt budget, and a job that exhausts it is quarantined with a
+record carrying the full traceback and an exact solo-repro command.
+All of this holds at every worker count, one included.
+
+:meth:`Engine.run` is the in-process path, kept for controller traces
+and debugging; it is never supervised nor faulted.
 
 Simulations are deterministic, so supervision changes only who runs a
 job and what happens when it dies, never what it computes: a plan
 executed with ``workers=4`` -- even under injected faults
 (:mod:`repro.faults`) -- populates byte-identical caches to a clean
-serial pass.
+one-worker pass.
 """
 
 import json
@@ -44,6 +49,7 @@ from ..workloads import build_workload, kernel_by_name
 from .cache import DEFAULT_CACHE_DIR, DiskCache
 from .fingerprint import job_digest
 from .jobs import ControllerKey, Job, make_controller
+from .store import JobStore
 
 #: Default per-job wall-clock budget (seconds).  Generous -- a healthy
 #: full-scale job finishes orders of magnitude sooner -- but finite, so
@@ -102,66 +108,6 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         except OSError:  # pragma: no cover - already gone
             pass
     pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _MemoryLedger:
-    """In-process stand-in for :class:`~repro.engine.store.JobStore`.
-
-    Gives :meth:`Engine.execute` the same supervised watchdog loop as
-    durable sweeps without touching disk; state dies with the engine.
-    """
-
-    def __init__(self) -> None:
-        self._state: Dict[str, str] = {}
-        self._attempts: Dict[str, int] = {}
-        self._not_before: Dict[str, float] = {}
-
-    def register(self, digest, kernel, key, scale) -> None:
-        self._state.setdefault(digest, "new")
-
-    def state(self, digest) -> str:
-        return self._state.get(digest, "new")
-
-    def attempts(self, digest) -> int:
-        return self._attempts.get(digest, 0)
-
-    def try_claim(self, digest, lease_s) -> bool:
-        if self._state.get(digest, "new") not in ("new", "errored"):
-            return False
-        if self._not_before.get(digest, 0.0) > time.monotonic():
-            return False
-        self._state[digest] = "claimed"
-        return True
-
-    def mark_running(self, digest) -> None:
-        self._state[digest] = "running"
-
-    def heartbeat_many(self, digests, lease_s) -> None:
-        pass
-
-    def mark_done(self, digest) -> None:
-        self._state[digest] = "done"
-
-    def mark_failed(self, digest, error, backoff_s) -> None:
-        self._attempts[digest] = self._attempts.get(digest, 0) + 1
-        self._not_before[digest] = time.monotonic() + backoff_s
-        self._state[digest] = "errored"
-
-    def quarantine(self, digest, error, record) -> None:
-        self._attempts[digest] = self._attempts.get(digest, 0) + 1
-        self._state[digest] = "quarantined"
-
-    def release(self, digest) -> None:
-        self._state[digest] = "new"
-
-    def requeue_lost(self, digest) -> None:
-        self._state[digest] = "new"
-
-    def get(self, digest):
-        return None
-
-    def reap(self) -> List[str]:
-        return []
 
 
 @dataclass
@@ -236,7 +182,6 @@ class Engine:
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP,
                  lease_s: float = DEFAULT_LEASE) -> None:
         if jobs < 1:
             raise EngineError("jobs must be >= 1")
@@ -244,6 +189,10 @@ class Engine:
             raise EngineError("timeout must be positive (or None)")
         if max_attempts < 1:
             raise EngineError("max_attempts must be >= 1")
+        if lease_s <= 0:
+            # A zero lease makes every claim instantly reapable: a
+            # second driver on the ledger would rerun live jobs.
+            raise EngineError("lease must be positive")
         self.sim = sim or SimConfig()
         self.scale = scale
         self.jobs = jobs
@@ -252,7 +201,6 @@ class Engine:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.lease_s = lease_s
         self.disk = DiskCache(cache_dir) if use_cache else None
         self._cache_degraded = False
@@ -318,7 +266,12 @@ class Engine:
     # -- single-run façade path ----------------------------------------
 
     def run(self, kernel: str, key: ControllerKey) -> RunResult:
-        """Run (or recall) one kernel under one controller key."""
+        """Run (or recall) one kernel under one controller key.
+
+        Runs in this process, unsupervised (no deadline, retry or
+        injected fault): the path for controller traces and
+        debugging.  Plans go through :meth:`execute`.
+        """
         job = Job(kernel=kernel, key=tuple(key))
         hit, _ = self.lookup(job)
         if hit is not None:
@@ -352,106 +305,83 @@ class Engine:
 
     # -- plan execution ------------------------------------------------
 
-    def execute(self, plan: List[Job],
-                workers: Optional[int] = None) -> ExecutionReport:
-        """Resolve every job in the plan, fanning misses out.
+    def execute(self, plan: List[Job], workers: Optional[int] = None,
+                store: Optional[JobStore] = None) -> ExecutionReport:
+        """Resolve every job in the plan through a job ledger.
 
-        Cache hits are resolved first; the remaining jobs run on a
-        process pool (``workers`` > 1) or inline.  Failed attempts are
-        retried (with backoff) up to the engine's ``max_attempts``
-        budget -- two by default, the historical retry-once contract.
-        A job that exhausts the budget lands in the report's failures.
+        Cache hits are resolved first.  Every job is registered in the
+        ledger -- ``store`` for a durable sweep (idempotently: ``done``
+        stays done, and claims stranded by a dead driver are reaped
+        first), else a private in-memory :class:`JobStore` closed on
+        return -- and the misses run under the supervised watchdog,
+        even with one worker, so hung workers can be killed.  Failed
+        attempts are retried (with backoff) up to ``max_attempts``; a
+        job that exhausts the budget lands in the report's failures.
+        A killed driver leaves ``store`` consistent: re-invoking with
+        it resumes exactly where the driver died.
         """
         workers = workers or self.jobs
         start = time.perf_counter()
-        by_job: Dict[Job, JobOutcome] = {}
-        misses: List[Job] = []
-        for job in plan:
-            if job in by_job or job in misses:
-                continue
-            hit, source = self.lookup(job)
-            if hit is not None:
-                by_job[job] = JobOutcome(job=job, source=source)
-            else:
-                misses.append(job)
-        if misses:
-            if workers > 1:
-                self._supervise(misses, workers, by_job,
-                                _MemoryLedger())
-            else:
-                self._execute_serial(misses, by_job)
-        report = ExecutionReport(
-            outcomes=[by_job[job] for job in dict.fromkeys(plan)],
-            wall_seconds=time.perf_counter() - start,
-            workers=workers)
-        return report
-
-    def execute_durable(self, plan: List[Job], store,
-                        workers: Optional[int] = None
-                        ) -> ExecutionReport:
-        """Resolve a plan through a persistent job ledger.
-
-        Every plan job is registered in the
-        :class:`~repro.engine.store.JobStore` (idempotently: ``done``
-        stays done), stranded claims from dead drivers are reaped, and
-        the supervised watchdog then claims and runs jobs until each
-        reaches a terminal state.  Always pool-backed -- even with one
-        worker -- so hung jobs can be killed.  A killed driver leaves
-        the ledger consistent; re-invoking with the same store resumes
-        exactly where it died.
-        """
-        workers = max(1, workers or self.jobs)
-        start = time.perf_counter()
+        ledger = store if store is not None else JobStore(":memory:")
         by_job: Dict[Job, JobOutcome] = {}
         todo: List[Job] = []
-        store.reap()
-        for job in dict.fromkeys(plan):
-            digest = self.digest(job)
-            store.register(digest, job.kernel, job.key, self.scale)
-            hit, source = self.lookup(job)
-            if hit is not None:
-                by_job[job] = JobOutcome(job=job, source=source)
-                store.mark_done(digest)
-                continue
-            if store.state(digest) == "done":
-                # Done in a previous run but the cache entry is gone
-                # (wiped, or writes were degraded): run it again.
-                store.requeue_lost(digest)
-            todo.append(job)
-        if todo:
-            self._supervise(todo, workers, by_job, store)
+        try:
+            ledger.reap()
+            for job in dict.fromkeys(plan):
+                digest = self.digest(job)
+                ledger.register(digest, job.kernel, job.key, self.scale)
+                hit, source = self.lookup(job)
+                if hit is not None:
+                    by_job[job] = JobOutcome(job=job, source=source)
+                    ledger.mark_done(digest)
+                    continue
+                if ledger.state(digest) == "done":
+                    # Done in a previous run but the cache entry is
+                    # gone (wiped, or writes were degraded): rerun it.
+                    ledger.requeue_lost(digest)
+                todo.append(job)
+            if todo:
+                self._supervise(todo, workers, by_job, ledger)
+        finally:
+            if store is None:
+                ledger.close()
         return ExecutionReport(
             outcomes=[by_job[job] for job in dict.fromkeys(plan)],
             wall_seconds=time.perf_counter() - start,
             workers=workers)
 
-    # -- serial path ---------------------------------------------------
+    def serve_queue(self, store: JobStore, feed,
+                    workers: Optional[int] = None, on_outcome=None,
+                    stop=None) -> Dict[Job, JobOutcome]:
+        """Continuously claim and run jobs fed by a live queue.
 
-    def _execute_serial(self, jobs: List[Job],
-                        by_job: Dict[Job, JobOutcome]) -> None:
-        for job in jobs:
-            outcome = JobOutcome(job=job, source="run")
-            for attempt in range(1, self.max_attempts + 1):
-                outcome.attempts = attempt
-                try:
-                    result, seconds = self._worker(
-                        job.kernel, job.key, self.scale, self.sim)
-                except Exception:
-                    outcome.error = traceback.format_exc()
-                    if attempt < self.max_attempts:
-                        time.sleep(self._backoff(attempt))
-                    continue
-                self._store(job, result, seconds)
-                outcome.seconds = seconds
-                outcome.error = None
-                break
-            by_job[job] = outcome
+        Serving mode of the supervised watchdog: instead of a fixed
+        plan, ``feed(max_n, timeout)`` is polled every pass for up to
+        ``max_n`` newly admitted jobs (blocking up to ``timeout``
+        seconds when the loop is otherwise idle, so arrivals are
+        picked up promptly without spinning).  Each fed job is
+        registered in the persistent ``store``, executed under the
+        same deadlines/backoff/quarantine policy as :meth:`execute`,
+        and reported through ``on_outcome`` (called once per job, from
+        this thread, when the job reaches a terminal state).  The loop
+        runs until ``stop`` (a :class:`threading.Event`) is set, then
+        finishes what is in flight and returns; jobs still waiting
+        stay ``new`` in the ledger, which is what lets a restarted
+        server resume its queue.
+        """
+        if stop is None:
+            raise EngineError("serve_queue requires a stop event")
+        by_job: Dict[Job, JobOutcome] = {}
+        store.reap()
+        self._supervise([], workers or self.jobs, by_job, store,
+                        feed=feed, on_outcome=on_outcome, stop=stop)
+        return by_job
 
     # -- supervised pool path ------------------------------------------
 
     def _backoff(self, attempt: int) -> float:
         """Deterministic exponential backoff after a failed attempt."""
-        return min(self.backoff_cap,
+        return min(DEFAULT_BACKOFF_CAP,
                    self.backoff_base * (2.0 ** (attempt - 1)))
 
     def _quarantine_record(self, job: Job, digest: str, attempt: int,
@@ -466,85 +396,49 @@ class Engine:
                 "scale": self.scale, "digest": digest,
                 "attempts": attempt, "error": error, "repro": repro}
 
-    def _record_attempt_failure(self, job: Job, digest: str,
-                                attempt: int, error: str, ledger,
-                                by_job: Dict[Job, JobOutcome],
-                                waiting: List[Job],
-                                on_outcome=None) -> None:
-        outcome = by_job.get(job) or JobOutcome(job=job, source="run")
-        outcome.attempts = attempt
-        outcome.error = error
-        by_job[job] = outcome
-        if attempt >= self.max_attempts:
-            ledger.quarantine(digest, error, self._quarantine_record(
-                job, digest, attempt, error))
-            if on_outcome is not None:
-                on_outcome(outcome)
-        else:
-            ledger.mark_failed(digest, error, self._backoff(attempt))
-            waiting.append(job)
-
-    def serve_queue(self, store, feed, workers: Optional[int] = None,
-                    on_outcome=None, stop=None
-                    ) -> Dict[Job, JobOutcome]:
-        """Continuously claim and run jobs fed by a live queue.
-
-        Serving mode of the supervised watchdog: instead of a fixed
-        plan, ``feed(max_n, timeout)`` is polled every pass for up to
-        ``max_n`` newly admitted jobs (blocking up to ``timeout``
-        seconds when the loop is otherwise idle, so arrivals are
-        picked up promptly without spinning).  Each fed job is
-        registered in the persistent ``store``, executed under the
-        same deadlines/backoff/quarantine policy as
-        :meth:`execute_durable`, and reported through ``on_outcome``
-        (called once per job, from this thread, when the job reaches
-        a terminal state).  The loop runs until ``stop`` (a
-        :class:`threading.Event`) is set, then finishes what is in
-        flight and returns; jobs still waiting stay ``new`` in the
-        ledger, which is what lets a restarted server resume its
-        queue.
-        """
-        if stop is None:
-            raise EngineError("serve_queue requires a stop event")
-        workers = max(1, workers or self.jobs)
-        by_job: Dict[Job, JobOutcome] = {}
-        store.reap()
-        self._supervise([], workers, by_job, store, feed=feed,
-                        on_outcome=on_outcome, stop=stop)
-        return by_job
-
     def _supervise(self, jobs: List[Job], workers: int,
-                   by_job: Dict[Job, JobOutcome], ledger,
+                   by_job: Dict[Job, JobOutcome], ledger: JobStore,
                    feed=None, on_outcome=None, stop=None) -> None:
         """Watchdog loop: claim, submit, wait with deadlines, recover.
 
-        Never blocks indefinitely on a worker: completions are
-        collected via timed waits, per-job deadlines kill hung workers
-        (pool teardown + rebuild; innocent in-flight jobs are released
-        and resubmitted uncharged), and failed attempts go back
-        through the ledger with backoff until the attempt budget runs
-        out and the job is quarantined.
+        ``jobs`` are already registered in ``ledger``.  Never blocks
+        indefinitely on a worker: completions are collected via timed
+        waits, per-job deadlines kill hung workers (pool teardown +
+        rebuild; innocent in-flight jobs are released and resubmitted
+        uncharged), and failed attempts go back through the ledger
+        with backoff until the attempt budget runs out and the job is
+        quarantined.
 
         With ``feed`` set (serving mode, :meth:`serve_queue`) the loop
-        additionally pulls newly admitted jobs each pass and keeps
-        running -- even with nothing waiting -- until ``stop`` fires.
-        ``on_outcome`` observes every *terminal* settle (done, failed
-        for good, quarantined), never retryable attempts.
+        additionally registers and pulls newly admitted jobs each pass
+        and keeps running -- even with nothing waiting -- until
+        ``stop`` fires.  ``on_outcome`` observes every *terminal*
+        settle (done, failed for good, quarantined), never retryable
+        attempts.
         """
         fault_plan = faults.active()
         digests = {job: self.digest(job) for job in jobs}
-        for job in jobs:
-            ledger.register(digests[job], job.kernel, job.key,
-                            self.scale)
         waiting: List[Job] = list(jobs)
         inflight: Dict = {}  # future -> (job, deadline, attempt)
         pool: Optional[ProcessPoolExecutor] = None
         last_beat = 0.0
 
-        def _settle(job: Job, outcome: JobOutcome) -> None:
+        def settle(job: Job, outcome: JobOutcome) -> None:
             by_job[job] = outcome
             if on_outcome is not None:
                 on_outcome(outcome)
+
+        def fail(job: Job, attempt: int, error: str) -> None:
+            """Charge a failed attempt: back off, or quarantine."""
+            digest = digests[job]
+            if attempt < self.max_attempts:
+                ledger.mark_failed(digest, error, self._backoff(attempt))
+                waiting.append(job)
+                return
+            ledger.quarantine(digest, error, self._quarantine_record(
+                job, digest, attempt, error))
+            settle(job, JobOutcome(job=job, source="run",
+                                   attempts=attempt, error=error))
 
         try:
             while True:
@@ -552,101 +446,86 @@ class Engine:
                 if feed is not None and not stopping:
                     # Keep a small working set ahead of the pool so
                     # the feed's priority order stays meaningful.
-                    budget = max(0, workers * 2 - len(waiting)
-                                 - len(inflight))
-                    timeout = (_POLL if not (waiting or inflight)
-                               else 0.0)
-                    for job in (feed(budget, timeout) if budget
+                    budget = workers * 2 - len(waiting) - len(inflight)
+                    idle = _POLL if not (waiting or inflight) else 0.0
+                    for job in (feed(budget, idle) if budget > 0
                                 else ()):
-                        digest = self.digest(job)
-                        digests[job] = digest
+                        digests[job] = digest = self.digest(job)
                         ledger.register(digest, job.kernel, job.key,
                                         self.scale)
                         waiting.append(job)
-                    stopping = stop is not None and stop.is_set()
-                if not (waiting or inflight):
-                    if feed is None or stopping:
-                        break
-                if stopping and not inflight and feed is not None:
-                    # Graceful stop: whatever is still waiting stays
+                    stopping = stop.is_set()
+                if not inflight and (stopping or
+                                     (feed is None and not waiting)):
+                    # A graceful stop leaves whatever still waits
                     # registered (state ``new``) for the next driver.
                     break
                 still: List[Job] = []
                 for job in waiting:
+                    if stopping or len(inflight) >= workers:
+                        still.append(job)
+                        continue
                     digest = digests[job]
-                    state = ledger.state(digest)
-                    if state == "done":
-                        # Finished by another driver sharing the
-                        # ledger; materialise from the shared cache.
-                        hit, source = self.lookup(job)
-                        if hit is not None:
-                            _settle(job, JobOutcome(
-                                job=job, source=source,
-                                attempts=ledger.attempts(digest)))
-                            continue
-                        ledger.requeue_lost(digest)
-                        state = "new"
-                    if state == "quarantined":
+                    if not ledger.try_claim(digest, self.lease_s):
                         record = ledger.get(digest)
-                        error = getattr(record, "error", None) or \
-                            "quarantined in a previous run"
-                        _settle(job, JobOutcome(
-                            job=job, source="run",
-                            attempts=ledger.attempts(digest),
-                            error=error))
-                        continue
-                    if (not stopping
-                            and len(inflight) < workers
-                            and state in ("new", "errored")
-                            and ledger.try_claim(digest,
-                                                 self.lease_s)):
-                        attempt = ledger.attempts(digest) + 1
-                        actions = None
-                        if fault_plan is not None:
-                            actions = fault_plan.worker_actions(
-                                f"{digest}#a{attempt}")
-                        if pool is None:
-                            # Serving mode has no fixed plan to size
-                            # the pool by; use the full worker count.
-                            size = (workers if feed is not None
-                                    else min(workers, len(jobs)))
-                            pool = ProcessPoolExecutor(
-                                max_workers=size)
-                        try:
-                            future = pool.submit(
-                                _run_supervised, self._worker,
-                                actions, job.kernel, job.key,
-                                self.scale, self.sim)
-                        except BrokenProcessPool:
-                            # The pool died under us between passes;
-                            # rebuild next pass, this job uncharged.
-                            ledger.release(digest)
-                            still.append(job)
-                            pool.shutdown(wait=False,
-                                          cancel_futures=True)
-                            pool = None
+                        if record.state == "done":
+                            # Finished by another driver sharing the
+                            # ledger; materialise from the shared
+                            # cache, or rerun it if the entry is gone.
+                            hit, source = self.lookup(job)
+                            if hit is not None:
+                                settle(job, JobOutcome(
+                                    job=job, source=source,
+                                    attempts=record.attempts))
+                                continue
+                            ledger.requeue_lost(digest)
+                        elif record.state == "quarantined":
+                            settle(job, JobOutcome(
+                                job=job, source="run",
+                                attempts=record.attempts,
+                                error=record.error or
+                                "quarantined in a previous run"))
                             continue
-                        ledger.mark_running(digest)
-                        deadline = (time.monotonic() + self.timeout
-                                    if self.timeout else None)
-                        inflight[future] = (job, deadline, attempt)
+                        # Gated by backoff, or claimed by another
+                        # live driver.
+                        still.append(job)
                         continue
-                    still.append(job)
+                    attempt = ledger.attempts(digest) + 1
+                    actions = None
+                    if fault_plan is not None:
+                        actions = fault_plan.worker_actions(
+                            f"{digest}#a{attempt}")
+                    if pool is None:
+                        # Serving mode has no fixed plan to size the
+                        # pool by; use the full worker count.
+                        pool = ProcessPoolExecutor(
+                            max_workers=(workers if feed is not None
+                                         else min(workers, len(jobs))))
+                    try:
+                        future = pool.submit(
+                            _run_supervised, self._worker, actions,
+                            job.kernel, job.key, self.scale, self.sim)
+                    except BrokenProcessPool:
+                        # The pool died under us between passes;
+                        # rebuild next pass, this job uncharged.
+                        ledger.release(digest)
+                        still.append(job)
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        pool = None
+                        continue
+                    ledger.mark_running(digest)
+                    deadline = (time.monotonic() + self.timeout
+                                if self.timeout else None)
+                    inflight[future] = (job, deadline, attempt)
                 waiting = still
 
                 if not inflight:
-                    if not waiting:
-                        if feed is None:
-                            break
-                        # Serving mode, momentarily idle: the feed
-                        # call above already blocked for new work.
-                        continue
-                    if stopping:
-                        continue
-                    # Everything left is gated by backoff or claimed
-                    # by another live driver: wait a beat, reap, retry.
-                    time.sleep(min(_POLL, self.backoff_base))
-                    ledger.reap()
+                    if waiting:
+                        # Everything left is gated by backoff or
+                        # claimed by another live driver: wait a
+                        # beat, reap, retry.
+                        time.sleep(min(_POLL, self.backoff_base))
+                        ledger.reap()
                     continue
 
                 now = time.monotonic()
@@ -655,54 +534,45 @@ class Engine:
                         [digests[j] for j, _, _ in inflight.values()],
                         self.lease_s)
                     last_beat = now
-                poll = _POLL
-                deadlines = [d for _, d, _ in inflight.values()
-                             if d is not None]
-                if deadlines:
-                    poll = max(0.0, min(poll,
-                                        min(deadlines) - now))
-                done, _ = futures_wait(set(inflight), timeout=poll,
+                poll = min([_POLL] + [d - now for _, d, _
+                                      in inflight.values()
+                                      if d is not None])
+                done, _ = futures_wait(set(inflight),
+                                       timeout=max(0.0, poll),
                                        return_when=FIRST_COMPLETED)
                 broken = False
                 for future in done:
                     job, _, attempt = inflight.pop(future)
-                    digest = digests[job]
                     try:
                         result, seconds = future.result(timeout=0)
                     except Exception as exc:
                         # Covers worker exceptions and pool breakage
                         # (BrokenProcessPool) when a worker dies.
-                        if isinstance(exc, BrokenProcessPool):
-                            broken = True
-                        self._record_attempt_failure(
-                            job, digest, attempt,
-                            traceback.format_exc(), ledger, by_job,
-                            waiting, on_outcome)
+                        broken |= isinstance(exc, BrokenProcessPool)
+                        fail(job, attempt, traceback.format_exc())
                     else:
                         self._store(job, result, seconds)
-                        ledger.mark_done(digest)
-                        _settle(job, JobOutcome(
+                        ledger.mark_done(digests[job])
+                        settle(job, JobOutcome(
                             job=job, source="run", seconds=seconds,
                             attempts=attempt))
                 now = time.monotonic()
                 hung = [future for future, (_, deadline, _)
                         in inflight.items()
                         if deadline is not None and now >= deadline]
+                for future in hung:
+                    job, _, attempt = inflight.pop(future)
+                    fail(job, attempt,
+                         f"TimeoutError: job exceeded "
+                         f"{self.timeout:.0f}s wall-clock budget "
+                         f"(attempt {attempt}); worker killed")
                 if hung:
-                    for future in hung:
-                        job, _, attempt = inflight.pop(future)
-                        self._record_attempt_failure(
-                            job, digests[job], attempt,
-                            f"TimeoutError: job exceeded "
-                            f"{self.timeout:.0f}s wall-clock budget "
-                            f"(attempt {attempt}); worker killed",
-                            ledger, by_job, waiting, on_outcome)
                     # Killing the hung worker means killing the pool;
                     # release the innocent in-flight jobs uncharged.
-                    for future in list(inflight):
-                        job, _, _ = inflight.pop(future)
+                    for job, _, _ in inflight.values():
                         ledger.release(digests[job])
                         waiting.append(job)
+                    inflight.clear()
                     if pool is not None:
                         _terminate_pool(pool)
                         pool = None

@@ -1,4 +1,8 @@
-"""Persistent job ledger for durable sweeps (SQLite, WAL mode).
+"""Job ledger of the experiment engine (SQLite, WAL mode on disk).
+
+Every :meth:`~repro.engine.executor.Engine.execute` plan runs over
+one: a durable sweep passes a file-backed ledger that outlives the
+driver, any other plan gets a private ``":memory:"`` one.
 
 One row per job, keyed by the job's content digest (the same digest
 that addresses the run cache), moving through the states::
@@ -115,10 +119,13 @@ class JobStore:
                  create: bool = True) -> None:
         self.path = path
         self.owner = owner or default_owner()
-        if create:
+        # ``":memory:"`` is a private ledger for one plan: no file, so
+        # no directory to create and no WAL to switch on.
+        in_memory = path == ":memory:"
+        if create and not in_memory:
             parent = os.path.dirname(os.path.abspath(path))
             os.makedirs(parent, exist_ok=True)
-        elif not os.path.isfile(path):
+        elif not create and not os.path.isfile(path):
             raise EngineError(f"no job ledger at {path}")
         try:
             self._conn = sqlite3.connect(path, timeout=30.0)
@@ -134,10 +141,11 @@ class JobStore:
                 self._conn.close()
                 raise EngineError(
                     f"{path} is not a job ledger (no jobs table)")
-            try:
-                self._conn.execute("PRAGMA journal_mode=WAL")
-            except sqlite3.OperationalError:  # pragma: no cover - odd FS
-                pass
+            if not in_memory:
+                try:
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                except sqlite3.OperationalError:  # pragma: no cover
+                    pass
             self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             if create:

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the durable sweep runtime.
+"""Deterministic fault injection for the supervised engine runtime.
 
 The ``REPRO_FAULTS`` environment variable arms a :class:`FaultPlan`::
 
@@ -30,9 +30,12 @@ Decisions are made driver-side (the supervisor computes the action
 list for each submission) and *executed* worker-side at the injection
 site (:func:`apply_worker_actions` runs first thing in the pool-worker
 wrapper); ``cache_io`` decisions are made and executed at the
-``DiskCache.put`` site itself.  Inline (serial, in-driver) execution
-is never faulted: killing the driver process is the job of the
-SIGKILL-and-resume tests, not of the harness.
+``DiskCache.put`` site itself.  Every ``Engine.execute`` plan runs
+on supervised pool workers, so worker faults fire at every ``--jobs``
+value; only the in-driver paths (``Engine.run`` and ``python -m
+repro.engine solo``) never see a ``crash`` or ``hang``: killing the
+driver process is the job of the SIGKILL-and-resume tests, not of the
+harness.
 """
 
 import hashlib

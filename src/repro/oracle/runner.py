@@ -2,7 +2,7 @@
 
 One sweep generates ``n`` seeded cases, runs every applicable
 (case, path) pair through the experiment engine -- reusing its
-ProcessPoolExecutor fan-out, retry-once semantics, and two-level run
+supervised process-pool fan-out, retry semantics, and two-level run
 cache -- then diffs each path's full :class:`RunResult` payload
 against its family's fused reference.  Divergences are shrunk to
 minimal reproducers and dumped as committed-format JSON files that

@@ -7,6 +7,7 @@ the real machinery end to end.
 
 import os
 import signal
+import threading
 import time
 
 from repro.config import EqualizerConfig, GPUConfig, PowerConfig, SimConfig
@@ -112,3 +113,33 @@ def kill_process_group(pgid: int, timeout_s: float = 10.0):
         if not alive or time.monotonic() >= deadline:
             return alive
         time.sleep(0.05)
+
+
+def serve_plan(engine, store, plan, workers=None):
+    """Run a fixed plan through :meth:`Engine.serve_queue`.
+
+    The feed hands the plan over in the order given and the stop
+    event fires once every job has settled, so a serving-mode run can
+    be asserted on like :meth:`Engine.execute`.  Returns the outcomes
+    in plan order (duplicates dropped).
+    """
+    jobs = list(dict.fromkeys(plan))
+    queue = list(jobs)
+    settled = []
+    stop = threading.Event()
+
+    def feed(max_n, timeout):
+        batch = queue[:max_n]
+        del queue[:max_n]
+        if not batch and timeout:
+            stop.wait(timeout)
+        return batch
+
+    def on_outcome(outcome):
+        settled.append(outcome)
+        if len(settled) == len(jobs):
+            stop.set()
+
+    by_job = engine.serve_queue(store, feed, workers=workers,
+                                on_outcome=on_outcome, stop=stop)
+    return [by_job[job] for job in jobs]

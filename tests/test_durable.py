@@ -1,10 +1,11 @@
-"""Failure-matrix tests: the durable sweep runtime under injected
-faults.
+"""Failure-matrix tests: the supervised engine under injected faults.
 
 Each test knocks out one leg (worker crash, hang past the wall-clock
 budget, cache-write OSError, driver SIGKILL, lease expiry) and asserts
 both the ledger lands in the right state and the cached results
-converge byte-identically with a fault-free run.
+converge byte-identically with a fault-free run.  Crash, hang,
+quarantine and cache-write failures run through all three entry
+points: ``execute`` with and without a store, and ``serve_queue``.
 """
 
 import json
@@ -16,10 +17,9 @@ import time
 
 import pytest
 
-from helpers import kill_process_group
+from helpers import kill_process_group, serve_plan
 from repro import faults
-from repro.engine import (DiskCache, Engine, Job, JobStore,
-                          execute_job)
+from repro.engine import Engine, Job, JobStore, execute_job
 from repro.engine.__main__ import main as engine_main
 from repro.experiments.common import BASELINE, EQ_PERF, default_sim
 
@@ -101,61 +101,134 @@ def clean_reference_cache(tmp_path, plan):
 PLAN = [Job(k, key) for k in FAST for key in (BASELINE, EQ_PERF)]
 
 
-class TestWorkerCrash:
+class EntryPoint:
+    """Runs a plan through one of the engine's three entry points.
+
+    The failure-matrix classes below run their tests through
+    ``execute`` over a persistent ledger; their ``...Execute`` and
+    ``...Serve`` subclasses rerun every test through ``execute`` on
+    its private in-memory ledger and through ``serve_queue``.
+    Ledger state is asserted only where a store is passed.
+    """
+
+    #: "durable" (execute over a JobStore), "execute" (private
+    #: in-memory ledger) or "serve" (serve_queue over a JobStore).
+    entry = "durable"
+
+    def ledger(self, tmp_path):
+        """The store to pass, or None for the private ledger."""
+        return None if self.entry == "execute" else make_store(tmp_path)
+
+    def run_plan(self, engine, plan, store, workers=2):
+        """Outcomes of the plan, in plan order."""
+        if self.entry == "execute":
+            return engine.execute(plan, workers=workers).outcomes
+        if self.entry == "serve":
+            return serve_plan(engine, store, plan, workers=workers)
+        return engine.execute(plan, workers=workers,
+                              store=store).outcomes
+
+
+class TestWorkerCrash(EntryPoint):
     def test_durable_sweep_recovers_and_matches_clean_cache(
             self, tmp_path):
         engine = make_engine(tmp_path, worker=crash_once_worker)
-        store = make_store(tmp_path)
-        report = engine.execute_durable(PLAN, store, workers=2)
-        assert not report.failures
+        store = self.ledger(tmp_path)
+        outcomes = self.run_plan(engine, PLAN, store)
+        assert all(o.ok for o in outcomes)
         # One crash per kernel: some outcome needed a second attempt.
-        assert max(o.attempts for o in report.outcomes) == 2
-        assert store.counts()["done"] == len(PLAN)
-        store.close()
+        assert max(o.attempts for o in outcomes) == 2
+        if store is not None:
+            assert store.counts()["done"] == len(PLAN)
+            store.close()
         assert (cache_payloads(str(tmp_path / "cache"))
                 == clean_reference_cache(tmp_path, PLAN))
 
+    def test_one_worker_crash_is_retried_and_driver_survives(
+            self, tmp_path, monkeypatch):
+        # A fixed digest pins the fault tokens: with this spec the
+        # worker crashes on attempt 1 and runs clean on attempt 2.
+        job = Job("prtcl-2", BASELINE, digest="c0ffee" * 10 + "c0ff")
+        spec = "crash@0.5:seed=1"
+        plan = faults.FaultPlan.parse(spec)
+        assert plan.worker_actions(f"{job.digest}#a1") == [("crash",)]
+        assert plan.worker_actions(f"{job.digest}#a2") == []
+        monkeypatch.setenv(faults.ENV_VAR, spec)
+        engine = make_engine(tmp_path)
+        store = self.ledger(tmp_path)
+        [outcome] = self.run_plan(engine, [job], store, workers=1)
+        # The worker's os._exit took down the pool, not this process.
+        assert outcome.ok and outcome.attempts == 2
+        if store is not None:
+            assert store.state(job.digest) == "done"
+            store.close()
 
-class TestHang:
-    def test_hung_worker_is_killed_and_retried(self, tmp_path):
+
+class TestWorkerCrashExecute(TestWorkerCrash):
+    entry = "execute"
+
+
+class TestWorkerCrashServe(TestWorkerCrash):
+    entry = "serve"
+
+
+class TestHang(EntryPoint):
+    def check_hung_worker_is_killed(self, tmp_path, workers):
         engine = make_engine(tmp_path, worker=hang_once_worker,
                              timeout=2.0)
-        store = make_store(tmp_path)
+        store = self.ledger(tmp_path)
+        job = Job("prtcl-2", BASELINE)
         start = time.monotonic()
-        report = engine.execute_durable([Job("prtcl-2", BASELINE)],
-                                        store, workers=2)
+        [outcome] = self.run_plan(engine, [job], store, workers=workers)
         wall = time.monotonic() - start
-        assert not report.failures
-        assert report.outcomes[0].attempts == 2
-        assert store.state(engine.digest(Job("prtcl-2",
-                                             BASELINE))) == "done"
-        store.close()
+        assert outcome.ok and outcome.attempts == 2
+        if store is not None:
+            assert store.state(engine.digest(job)) == "done"
+            store.close()
         # The 60s sleep must have been killed, not waited out.
         assert wall < 30.0
+
+    def test_hung_worker_is_killed_and_retried(self, tmp_path):
+        self.check_hung_worker_is_killed(tmp_path, workers=2)
+
+    def test_one_worker_hang_is_killed_and_retried(self, tmp_path):
+        self.check_hung_worker_is_killed(tmp_path, workers=1)
 
     def test_hang_exhausting_budget_is_quarantined(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.setenv(faults.ENV_VAR, "hang@1.0:hang_s=60")
         engine = make_engine(tmp_path, timeout=1.0, max_attempts=2)
-        store = make_store(tmp_path)
+        store = self.ledger(tmp_path)
         job = Job("prtcl-2", BASELINE)
-        report = engine.execute_durable([job], store, workers=2)
-        assert len(report.failures) == 1
-        assert "TimeoutError" in report.failures[0].error
-        record = store.get(engine.digest(job))
-        store.close()
-        assert record.state == "quarantined"
-        assert record.attempts == 2
+        [outcome] = self.run_plan(engine, [job], store)
+        assert not outcome.ok and outcome.attempts == 2
+        assert "TimeoutError" in outcome.error
+        if store is not None:
+            record = store.get(engine.digest(job))
+            store.close()
+            assert record.state == "quarantined"
+            assert record.attempts == 2
 
 
-class TestQuarantine:
+class TestHangExecute(TestHang):
+    entry = "execute"
+
+
+class TestHangServe(TestHang):
+    entry = "serve"
+
+
+class TestQuarantine(EntryPoint):
     def test_record_carries_solo_repro_command(self, tmp_path):
         engine = make_engine(tmp_path, worker=always_raise_worker,
                              max_attempts=2)
-        store = make_store(tmp_path)
+        store = self.ledger(tmp_path)
         job = Job("prtcl-2", EQ_PERF)
-        report = engine.execute_durable([job], store, workers=2)
-        assert len(report.failures) == 1
+        [outcome] = self.run_plan(engine, [job], store)
+        assert not outcome.ok and outcome.attempts == 2
+        assert "permanent failure" in outcome.error
+        if store is None:
+            return
         record = store.get(engine.digest(job))
         store.close()
         assert record.state == "quarantined"
@@ -172,26 +245,38 @@ class TestQuarantine:
     def test_requeued_quarantine_runs_clean(self, tmp_path):
         engine = make_engine(tmp_path, worker=always_raise_worker,
                              max_attempts=2)
-        store = make_store(tmp_path)
+        store = self.ledger(tmp_path)
         job = Job("prtcl-2", BASELINE)
-        engine.execute_durable([job], store, workers=2)
-        assert store.requeue(states=("quarantined",)) == 1
+        self.run_plan(engine, [job], store)
+        if store is not None:
+            assert store.requeue(states=("quarantined",)) == 1
+        # Without a store the quarantine died with its call's ledger.
         healthy = make_engine(tmp_path)
-        report = healthy.execute_durable([job], store, workers=2)
-        assert not report.failures
-        assert store.state(healthy.digest(job)) == "done"
-        store.close()
+        [outcome] = self.run_plan(healthy, [job], store)
+        assert outcome.ok
+        if store is not None:
+            assert store.state(healthy.digest(job)) == "done"
+            store.close()
 
 
-class TestCacheDegradation:
+class TestQuarantineExecute(TestQuarantine):
+    entry = "execute"
+
+
+class TestQuarantineServe(TestQuarantine):
+    entry = "serve"
+
+
+class TestCacheDegradation(EntryPoint):
     def test_sweep_survives_cache_io_and_refills_byte_identical(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(faults.ENV_VAR, "cache_io@1.0")
         engine = make_engine(tmp_path)
-        store = make_store(tmp_path)
-        report = engine.execute_durable(PLAN, store, workers=2)
-        assert not report.failures
-        assert store.counts()["done"] == len(PLAN)
+        store = self.ledger(tmp_path)
+        outcomes = self.run_plan(engine, PLAN, store)
+        assert all(o.ok for o in outcomes)
+        if store is not None:
+            assert store.counts()["done"] == len(PLAN)
         assert engine.disk is None  # demoted to cache-less
         err = capsys.readouterr().err
         assert err.count("disk cache write failed") == 1
@@ -200,11 +285,20 @@ class TestCacheDegradation:
         monkeypatch.delenv(faults.ENV_VAR)
         assert cache_payloads(str(tmp_path / "cache")) == {}
         refill = make_engine(tmp_path)
-        report = refill.execute_durable(PLAN, store, workers=2)
-        store.close()
-        assert not report.failures
+        outcomes = self.run_plan(refill, PLAN, store)
+        if store is not None:
+            store.close()
+        assert all(o.ok for o in outcomes)
         assert (cache_payloads(str(tmp_path / "cache"))
                 == clean_reference_cache(tmp_path, PLAN))
+
+
+class TestCacheDegradationExecute(TestCacheDegradation):
+    entry = "execute"
+
+
+class TestCacheDegradationServe(TestCacheDegradation):
+    entry = "serve"
 
 
 class TestDriverDeath:
@@ -278,7 +372,7 @@ class TestLeaseExpiry:
         foreign = make_store(tmp_path, owner="feedface0000:1")
         assert foreign.try_claim(digest, lease_s=0.0)
         foreign.close()
-        report = engine.execute_durable([job], store, workers=2)
+        report = engine.execute([job], workers=2, store=store)
         assert not report.failures
         assert store.state(digest) == "done"
         store.close()
@@ -295,7 +389,7 @@ class TestLeaseExpiry:
         assert foreign.try_claim(digest, lease_s=1.0)
         foreign.close()
         start = time.monotonic()
-        report = engine.execute_durable([job], store, workers=2)
+        report = engine.execute([job], workers=2, store=store)
         assert not report.failures
         assert time.monotonic() - start >= 1.0
         store.close()

@@ -153,6 +153,19 @@ class TestPlanning:
     def test_rejects_bad_jobs(self):
         with pytest.raises(EngineError):
             Engine(jobs=0)
+        # A zero lease makes every claim instantly reapable.
+        for lease in (0.0, -1.0):
+            with pytest.raises(EngineError, match="lease"):
+                Engine(lease_s=lease)
+
+    def test_sweep_rejects_zero_lease(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        assert engine_main(["sweep", "--experiments", "fig4",
+                            "--kernels", "prtcl-2", "--scale",
+                            str(SCALE), "--lease", "0", "--cache-dir",
+                            str(cache_dir)]) == 2
+        assert "lease must be positive" in capsys.readouterr().err
+        assert not cache_dir.exists()
 
 
 class TestDeterminism:

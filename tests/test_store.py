@@ -225,6 +225,20 @@ class TestOpenExisting:
         assert [r.digest for r in store.pending()] == [DIG2]
 
 
+class TestInMemory:
+    def test_memory_ledger_touches_no_files(self, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = JobStore(":memory:")
+        register(store)
+        assert store.try_claim(DIG, lease_s=30.0)
+        store.mark_running(DIG)
+        store.mark_done(DIG)
+        assert store.counts()["done"] == 1
+        store.close()
+        assert os.listdir(tmp_path) == []
+
+
 class TestJobsCliErrors:
     """`python -m repro.engine jobs` must fail loudly on bad ledgers
     (regression: it used to print an empty table and exit 0)."""
