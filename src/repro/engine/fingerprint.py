@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, fields
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..config import SimConfig
 from ..sim.results import encode_controller_key
@@ -89,16 +89,62 @@ def kernel_spec_fingerprint(spec: KernelSpec) -> Dict:
     return data
 
 
+#: The one canonical encoding of a digest frame (sorted, compact).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Stands in for the controller key while a frame is encoded; the
+#: frame is split around its encoding.
+_KEY_SLOT = "\x00controller-key\x00"
+
+#: (id(spec), id(sim), repr(scale)) -> (spec, sim, head hash, tail).
+#: Each entry holds its spec and sim, so their ids cannot be reused
+#: while it lives; ``repr`` tells ``1`` from ``1.0``, whose JSON
+#: differs although they compare equal.  Keys are identities, not
+#: values, for the same reason: equal configs may encode differently,
+#: and ``KernelSpec`` equality ignores ``variant``.  Two threads may
+#: both build a missing frame; the frames are equal, so either wins.
+_frames: Dict[Tuple[int, int, str], Tuple] = {}
+
+
+def _digest_frame(spec: KernelSpec, sim: SimConfig, scale: float):
+    """(hash of the bytes before the key, bytes after it), memoised.
+
+    The frame is everything in a digest but the controller key, so on
+    a process pinned to one (SimConfig, scale) there is one frame per
+    kernel.  The memo is cleared when it reaches 64 frames (oracle
+    runs mint many SimConfigs).
+    """
+    ident = (id(spec), id(sim), repr(scale))
+    frame = _frames.get(ident)
+    if frame is None:
+        blob = _CANONICAL.encode({
+            "format": CACHE_FORMAT,
+            "code": code_salt(),
+            "kernel": kernel_spec_fingerprint(spec),
+            "key": _KEY_SLOT,
+            "sim": sim_config_fingerprint(sim),
+            "scale": scale,
+        })
+        head, tail = blob.split(_CANONICAL.encode(_KEY_SLOT))
+        if len(_frames) >= 64:
+            _frames.clear()
+        frame = _frames[ident] = (spec, sim,
+                                  hashlib.sha256(head.encode()),
+                                  tail.encode())
+    return frame[2], frame[3]
+
+
 def job_digest(job: Job, spec: KernelSpec, sim: SimConfig,
                scale: float) -> str:
-    """The content address of one run."""
-    payload = {
-        "format": CACHE_FORMAT,
-        "code": code_salt(),
-        "kernel": kernel_spec_fingerprint(spec),
-        "key": encode_controller_key(job.key),
-        "sim": sim_config_fingerprint(sim),
-        "scale": scale,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """The content address of one run.
+
+    SHA-256 of the canonical JSON of ``{"format", "code", "kernel",
+    "key", "sim", "scale"}``; only the key is encoded per call, the
+    rest is hashed once per (spec, sim, scale).
+    """
+    head, tail = _digest_frame(spec, sim, scale)
+    digest = head.copy()
+    digest.update(_CANONICAL.encode(
+        encode_controller_key(job.key)).encode())
+    digest.update(tail)
+    return digest.hexdigest()

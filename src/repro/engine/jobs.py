@@ -13,6 +13,7 @@ Experiment modules declare the jobs they need through a module-level
 those declarations into a deduplicated plan.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -54,6 +55,7 @@ def make_controller(key: ControllerKey,
     equalizer section of its :class:`~repro.config.SimConfig`.
     """
     eq_config = eq_config or EqualizerConfig()
+    _check_key(key)
     kind = key[0]
     if kind == "baseline":
         return None
@@ -61,18 +63,44 @@ def make_controller(key: ControllerKey,
         _, sm_vf, mem_vf, blocks = key
         return StaticController(sm_vf=sm_vf, mem_vf=mem_vf, blocks=blocks)
     if kind == "equalizer":
-        mode = key[1]
-        blocks_only = len(key) > 2 and key[2] == "blocks-only"
-        return EqualizerController(mode, config=eq_config,
-                                   manage_frequency=not blocks_only)
+        return EqualizerController(key[1], config=eq_config,
+                                   manage_frequency=len(key) == 2)
     if kind == "dyncta":
         return DynCTAController()
     if kind == "ccws":
         return CCWSController()
-    if kind == "boost":
-        return (PowerBudgetController(budget_w=key[1]) if len(key) > 1
-                else PowerBudgetController())
-    raise EngineError(f"unknown controller key {key!r}")
+    # kind == "boost"
+    return (PowerBudgetController(budget_w=key[1]) if len(key) > 1
+            else PowerBudgetController())
+
+
+def _is_int(part) -> bool:
+    return isinstance(part, int) and not isinstance(part, bool)
+
+
+def _check_key(key: ControllerKey) -> None:
+    """Reject a key whose arity or part types the vocabulary lacks.
+
+    ``True`` is refused where an int belongs: it equals ``1`` and
+    would run the same simulation under another digest.  The
+    controllers check the values (VF states, block counts, budgets).
+    """
+    kind = key[0] if key else None
+    if kind in ("baseline", "dyncta", "ccws"):
+        ok = len(key) == 1
+    elif kind == "static":
+        ok = (len(key) == 4 and _is_int(key[1]) and _is_int(key[2])
+              and (key[3] is None or _is_int(key[3])))
+    elif kind == "equalizer":
+        ok = len(key) == 2 or (len(key) == 3 and key[2] == "blocks-only")
+    elif kind == "boost":
+        ok = len(key) == 1 or (
+            len(key) == 2 and isinstance(key[1], (int, float))
+            and not isinstance(key[1], bool) and math.isfinite(key[1]))
+    else:
+        raise EngineError(f"unknown controller key {key!r}")
+    if not ok:
+        raise EngineError(f"malformed {kind} controller key {key!r}")
 
 
 def as_jobs(pairs: Iterable[Tuple[str, ControllerKey]]) -> List[Job]:

@@ -14,12 +14,12 @@ engine's own invariant -- and serves four routes:
     quarantined, 404 when unknown.
 ``GET /stats``
     live counters (admission verdicts, coalescing, queue depth,
-    ledger state counts).
+    result-LRU sizes, ledger state counts).
 ``GET /healthz``
     liveness.
 
 Threading model: the asyncio loop thread owns every mutable server
-structure (coalescing registry, counters, result LRU, the front-side
+structure (coalescing registry, counters, result LRUs, the front-side
 :class:`~repro.engine.store.JobStore` connection).  One *drain*
 thread runs :meth:`~repro.engine.executor.Engine.serve_queue` -- the
 supervised watchdog in serving mode -- pulling admitted jobs from a
@@ -39,6 +39,11 @@ disconnecting cannot cancel the run out from under the others) and
 receive the *same bytes object*, built exactly once per run -- the
 byte-identity guarantee is structural, not a re-serialization
 accident.
+
+Cache hits: the ``provenance: cache`` body of a digest is encoded
+once and kept in an LRU of at most :data:`RESULT_LRU` bodies, which
+``POST /simulate`` hits and ``/result``'s disk fallback both serve, so
+a repeated hit costs its digest and a dictionary lookup.
 """
 
 import asyncio
@@ -64,8 +69,8 @@ from .protocol import (DEFAULT_PRIORITY, PROVENANCE_CACHE,
 #: Largest accepted request body (bytes).
 MAX_BODY = 64 * 1024
 
-#: Finished-result bodies kept hot in memory (the disk cache holds
-#: everything; this only skips re-reading and re-encoding).
+#: Finished-result bodies kept hot in memory, per LRU (the disk cache
+#: holds everything; this only skips re-reading and re-encoding).
 RESULT_LRU = 256
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
@@ -75,6 +80,14 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
 _HEX = set("0123456789abcdef")
+
+
+def _remember(lru: OrderedDict, digest: str, value) -> None:
+    """Put ``value`` at the young end of ``lru``; drop the oldest."""
+    lru[digest] = value
+    lru.move_to_end(digest)
+    while len(lru) > RESULT_LRU:
+        lru.popitem(last=False)
 
 
 class _Feed:
@@ -162,8 +175,11 @@ class SimServer:
             "requests": 0, "cache_hits": 0, "coalesce_joins": 0,
             "runs_completed": 0, "quarantined": 0, "resumed": 0}
         self._pending: Dict[str, _Pending] = {}
+        # Bodies settled by this server's runs (simulated or
+        # quarantined), and the "cache" body of every recent hit.
         self._results: "OrderedDict[str, Tuple[int, bytes]]" = \
             OrderedDict()
+        self._hits: "OrderedDict[str, bytes]" = OrderedDict()
         self._stop = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -311,10 +327,7 @@ class SimServer:
                 ok: bool) -> None:
         """Loop-thread half: cache the bytes, wake every waiter."""
         self.counters["runs_completed" if ok else "quarantined"] += 1
-        self._results[digest] = (status, payload)
-        self._results.move_to_end(digest)
-        while len(self._results) > RESULT_LRU:
-            self._results.popitem(last=False)
+        _remember(self._results, digest, (status, payload))
         entry = self._pending.pop(digest, None)
         if entry is not None and not entry.future.done():
             entry.future.set_result((status, payload))
@@ -433,11 +446,15 @@ class SimServer:
         job = req.job()
 
         # Fast path: the content-addressed store already has it.
-        hit, _ = self.engine.lookup(job)
-        if hit is not None:
+        payload = self._hits.get(req.digest)
+        if payload is None:
+            hit, _ = self.engine.lookup(job)
+            if hit is not None:
+                payload = result_body(req.digest, PROVENANCE_CACHE, hit)
+        if payload is not None:
+            _remember(self._hits, req.digest, payload)
             self.counters["cache_hits"] += 1
-            return 200, {}, result_body(req.digest, PROVENANCE_CACHE,
-                                        hit)
+            return 200, {}, payload
 
         # Coalesce: someone is already paying for this digest.
         entry = self._pending.get(req.digest)
@@ -483,11 +500,14 @@ class SimServer:
         entry = self._pending.get(digest)
         if entry is not None:
             return 202, {}, accepted_body(digest, entry.state)
-        if self.engine.disk is not None:
+        payload = self._hits.get(digest)
+        if payload is None and self.engine.disk is not None:
             hit = self.engine.disk.get(digest)
             if hit is not None:
-                return 200, {}, result_body(digest, PROVENANCE_CACHE,
-                                            hit)
+                payload = result_body(digest, PROVENANCE_CACHE, hit)
+        if payload is not None:
+            _remember(self._hits, digest, payload)
+            return 200, {}, payload
         record = self.store_front.get(digest)
         if record is not None:
             if record.state == "quarantined":
@@ -507,6 +527,8 @@ class SimServer:
             "in_flight": len(self._pending),
             "queue_depth": len(self.feed),
             "counters": dict(self.counters),
+            "lru": {"settled": len(self._results),
+                    "hits": len(self._hits), "limit": RESULT_LRU},
             "admission": dict(self.admission.verdicts),
             "ledger": self.store_front.counts(),
         })

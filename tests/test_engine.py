@@ -1,20 +1,24 @@
 """Tests for the parallel experiment engine and its run cache."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.cli import EXPERIMENTS
 from repro.cli import main as cli_main
 from repro.config import SimConfig
 from repro.engine import (DiskCache, Engine, Job, ReproJSONEncoder,
                           collect_jobs, dumps_json, execute_job,
-                          job_digest)
+                          job_digest, make_controller)
+from repro.engine import fingerprint
 from repro.engine.__main__ import main as engine_main
 from repro.errors import EngineError, SerializationError
 from repro.experiments import fig4_warp_states, fig7_performance_mode
 from repro.experiments.common import (BASELINE, EQ_PERF, RunCache,
                                       default_sim, static_blocks)
+from repro.serve.loadgen import HOT_KEYS, SHAPES, build_trace
 from repro.sim.results import (RunResult, decode_controller_key,
                                encode_controller_key)
 from repro.workloads import kernel_by_name
@@ -119,6 +123,50 @@ class TestDiskCache:
             Job("mri-g-1", BASELINE), kernel_by_name("mri-g-1"), sim,
             0.1)
 
+    def test_frame_memo_matches_whole_payload_formula(self):
+        """The memoised frame hashes the very bytes the one-shot
+        formula did, so no cached digest moves."""
+        def whole(job, spec, sim, scale):
+            blob = json.dumps({
+                "format": fingerprint.CACHE_FORMAT,
+                "code": fingerprint.code_salt(),
+                "kernel": fingerprint.kernel_spec_fingerprint(spec),
+                "key": encode_controller_key(job.key),
+                "sim": fingerprint.sim_config_fingerprint(sim),
+                "scale": scale,
+            }, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        sim = default_sim()
+        plan = collect_jobs(list(EXPERIMENTS.values()), sim=sim)
+        cases = [(job, 0.02) for job in plan] + \
+            [(job, 1) for job in plan]
+        for shape in SHAPES:
+            cases += [(Job(item["kernel"], tuple(item["key"])), 0.25)
+                      for item in build_trace(shape, seed=1, n=300)]
+        cases += [(Job("prtcl-2", ("boost", 123.456789)), 0.1),
+                  (Job("prtcl-2", ("boost", 150)), 0.1),
+                  (Job("prtcl-2", BASELINE), 1.0)]
+        for job, scale in cases:
+            spec = kernel_by_name(job.kernel)
+            assert job_digest(job, spec, sim, scale) == \
+                whole(job, spec, sim, scale), (job, scale)
+        # 1 and 1.0 compare equal but encode differently.
+        job = Job("prtcl-2", BASELINE)
+        spec = kernel_by_name("prtcl-2")
+        assert job_digest(job, spec, sim, 1) != \
+            job_digest(job, spec, sim, 1.0)
+        # An equal SimConfig built afresh has the same digest.
+        assert job_digest(job, spec, default_sim(), 0.1) == \
+            job_digest(job, spec, sim, 0.1)
+
+    def test_frame_memo_is_bounded(self):
+        sim, spec = default_sim(), kernel_by_name("prtcl-2")
+        for step in range(200):
+            job_digest(Job("prtcl-2", BASELINE), spec, sim,
+                       0.01 * (step + 1))
+            assert len(fingerprint._frames) <= 64
+
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         engine = tiny_engine(tmp_path)
         engine.run("prtcl-2", BASELINE)
@@ -166,6 +214,38 @@ class TestPlanning:
                             str(cache_dir)]) == 2
         assert "lease must be positive" in capsys.readouterr().err
         assert not cache_dir.exists()
+
+
+class TestControllerKeys:
+    @pytest.mark.parametrize("key", [
+        ("static",), ("static", 0, 0), ("equalizer",), (),
+        ("boost", "x"), ("static", 0, 0, "2"),
+        ("static", 1.0, 0, None),
+        # Would alias a well-formed key's simulation under another
+        # digest.
+        ("static", True, 0, None), ("static", 0, 0, True),
+        ("dyncta", 1, 2), ("static", 0, 0, 1.5), ("baseline", 0),
+        ("ccws", "x"), ("boost", True), ("boost", 100.0, 5),
+        ("boost", float("nan")), ("boost", float("inf")),
+        ("equalizer", "performance", "x"),
+        ("equalizer", "performance", "blocks-only", 1),
+    ], ids=repr)
+    def test_malformed_key_raises_engine_error(self, key):
+        with pytest.raises(EngineError):
+            make_controller(key)
+
+    def test_vocabulary_keys_still_build(self):
+        from repro.oracle.generate import generate_case
+        plan = collect_jobs(list(EXPERIMENTS.values()),
+                            sim=default_sim())
+        keys = {job.key for job in plan}
+        keys |= {tuple(key) for key in HOT_KEYS}
+        keys |= {tuple(generate_case(seed).controller)
+                 for seed in range(100)}
+        keys |= {("boost", 150), ("boost", 87.25),
+                 ("static", -1, 1, 2)}
+        for key in keys:
+            make_controller(key)
 
 
 class TestDeterminism:

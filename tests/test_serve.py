@@ -20,11 +20,13 @@ import time
 import pytest
 
 from helpers import kill_process_group, live_group_members
-from repro.engine import execute_job
+from repro.engine import DiskCache, execute_job
+from repro.serve import server as server_module
 from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
                                    REJECT_RATE, RUN,
                                    AdmissionController, TokenBucket)
 from repro.serve.loadgen import SHAPES, build_trace, trace_digests
+from repro.serve.protocol import PROVENANCE_CACHE, result_body
 from repro.serve.server import SimServer
 
 SCALE = 0.05
@@ -154,7 +156,14 @@ class TestFastPaths:
             {"kernel": KERNEL, "key": ["baseline"], "typo": 1},
             {"kernel": KERNEL, "key": "baseline"},
             ["not", "an", "object"],
-        ]
+        ] + [{"kernel": KERNEL, "key": key} for key in (
+            # Malformed keys that once dropped the connection.
+            ["static"], ["static", 0, 0], ["equalizer"], [],
+            ["boost", "x"], ["static", 0, 0, "2"],
+            ["static", 1.0, 0, None],
+            # Keys that aliased a well-formed key's simulation.
+            ["static", True, 0, None], ["dyncta", 1, 2],
+            ["static", 0, 0, 1.5])]
         for case in cases:
             status, _, payload = http(server, "POST", "/simulate",
                                       case)
@@ -182,6 +191,68 @@ class TestFastPaths:
         assert stats["in_flight"] == 0
         assert set(stats["counters"]) >= {"requests", "cache_hits",
                                           "coalesce_joins"}
+
+
+# -- cache-hit bodies --------------------------------------------------
+
+
+def _post(server, key):
+    status, _, payload = http(server, "POST", "/simulate",
+                              {"kernel": KERNEL, "key": key})
+    assert status == 200, payload
+    return json.loads(payload)
+
+
+def _cache_body(server, digest):
+    """A freshly built ``provenance: cache`` body, read from disk."""
+    result = DiskCache(server.cache_dir).get(digest)
+    return result_body(digest, PROVENANCE_CACHE, result)
+
+
+class TestHitBodies:
+    def test_hit_bytes_equal_a_fresh_result_body(self, serve):
+        server = serve(worker=counting_worker)
+        body = {"kernel": KERNEL, "key": ["baseline"]}
+        digest = _post(server, ["baseline"])["digest"]
+        hits = [http(server, "POST", "/simulate", body)[2]
+                for _ in range(3)]
+        assert hits == [_cache_body(server, digest)] * 3
+        assert run_count() == 1
+
+    def test_hit_lru_is_bounded_by_result_lru(self, serve,
+                                               monkeypatch):
+        monkeypatch.setattr(server_module, "RESULT_LRU", 2)
+        server = serve(worker=counting_worker)
+        keys = [["boost", budget] for budget in (51.0, 52.0, 53.0)]
+        for key in keys:
+            assert _post(server, key)["provenance"] == "simulated"
+        for _ in range(2):
+            for key in keys:
+                assert _post(server, key)["provenance"] == "cache"
+                _, _, stats = http(server, "GET", "/stats")
+                assert json.loads(stats)["lru"]["hits"] <= 2
+        _, _, stats = http(server, "GET", "/stats")
+        assert json.loads(stats)["lru"] == {"settled": 2, "hits": 2,
+                                            "limit": 2}
+        assert run_count() == 3
+
+    def test_result_is_simulated_until_evicted(self, serve,
+                                               monkeypatch):
+        monkeypatch.setattr(server_module, "RESULT_LRU", 1)
+        server = serve(worker=counting_worker)
+        first = _post(server, ["boost", 61.0])
+        path = f"/result/{first['digest']}"
+        status, _, payload = http(server, "GET", path)
+        assert status == 200
+        assert json.loads(payload)["provenance"] == "simulated"
+        second = _post(server, ["boost", 62.0])
+        # The second run's settled body pushed the first one out.
+        status, _, payload = http(server, "GET", path)
+        assert (status, payload) == \
+            (200, _cache_body(server, first["digest"]))
+        status, _, payload = http(server, "GET",
+                                  f"/result/{second['digest']}")
+        assert json.loads(payload)["provenance"] == "simulated"
 
 
 # -- miss -> queue -> poll ---------------------------------------------
