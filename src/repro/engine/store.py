@@ -29,12 +29,12 @@ deterministic, so re-running reproduces the identical entry.
 import hashlib
 import json
 import os
+import platform
 import sqlite3
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..bench import machine_fingerprint
 from ..errors import EngineError
 
 #: States a ledger row can be in.
@@ -68,8 +68,24 @@ CREATE INDEX IF NOT EXISTS jobs_state ON jobs(state);
 """
 
 
+def machine_fingerprint() -> Dict[str, str]:
+    """A stable identity of the hardware/interpreter on this host.
+
+    Wall-clock numbers are only comparable between identical
+    fingerprints.  Only coarse, deterministic fields go in -- nothing
+    that varies between runs on the same machine.
+    """
+    return {
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "processor": platform.processor(),
+        "python": platform.python_implementation() + "-"
+        + platform.python_version(),
+    }
+
+
 def fingerprint_id() -> str:
-    """Short stable id of this machine (from the bench fingerprint)."""
+    """Short stable id of this machine (from its fingerprint)."""
     blob = json.dumps(machine_fingerprint(), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -23,7 +23,7 @@ hides.
 
 from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..errors import OracleError
 

@@ -32,7 +32,7 @@ from ..errors import OracleError
 from ..sim.multikernel import digest_payload
 from ..sim.results import RunResult
 from .diff import diff_payloads
-from .generate import CASE_FORMAT, OracleCase, case_seeds, generate_case
+from .generate import OracleCase, case_seeds, generate_case
 from .paths import REFERENCE_VARIANT, all_paths, run_case_path, split_path
 from .shrink import shrink_case
 

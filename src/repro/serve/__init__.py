@@ -10,14 +10,13 @@ admission control into the durable job ledger.  See
 """
 
 from .admission import AdmissionController, TokenBucket
-from .protocol import (PROVENANCE_CACHE, PROVENANCE_PREDICTED,
-                       PROVENANCE_SIMULATED, BadRequest, SimRequest,
-                       canonical_json, normalize_request)
+from .protocol import (PROVENANCE_CACHE, PROVENANCE_SIMULATED,
+                       BadRequest, SimRequest, canonical_json,
+                       normalize_request)
 from .server import SimServer
 
 __all__ = [
     "AdmissionController", "TokenBucket", "SimServer", "SimRequest",
     "BadRequest", "normalize_request", "canonical_json",
     "PROVENANCE_CACHE", "PROVENANCE_SIMULATED",
-    "PROVENANCE_PREDICTED",
 ]

@@ -44,9 +44,9 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..bench import machine_fingerprint
+from ..engine.store import machine_fingerprint
 
 #: Traffic shapes and their unique-digest fraction.
 SHAPES = ("duplicate-heavy", "unique-heavy", "mixed")

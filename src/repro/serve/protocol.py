@@ -31,11 +31,7 @@ bytes came from:
 ``"cache"``
     recalled from the content-addressed store;
 ``"simulated"``
-    produced by an engine run this request caused or joined;
-``"predicted"``
-    reserved for the analytic frequency-scaling predictor tier
-    (ROADMAP direction 5) -- no current endpoint emits it, but clients
-    should already dispatch on the field.
+    produced by an engine run this request caused or joined.
 
 Result bodies are *canonical*: :func:`canonical_json` (sorted keys,
 minimal separators) over ``{"digest", "provenance", "result"}`` with
@@ -44,7 +40,7 @@ no per-client fields, which is what makes the coalescing guarantee
 """
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import json
 
@@ -58,7 +54,6 @@ from ..workloads import kernel_by_name
 #: Result provenance values (see module docstring).
 PROVENANCE_CACHE = "cache"
 PROVENANCE_SIMULATED = "simulated"
-PROVENANCE_PREDICTED = "predicted"
 
 #: Default request priority; smaller runs earlier.
 DEFAULT_PRIORITY = 100
@@ -161,14 +156,10 @@ def result_body(digest: str, provenance: str,
     })
 
 
-def accepted_body(digest: str, state: str,
-                  position: Optional[int] = None) -> bytes:
+def accepted_body(digest: str, state: str) -> bytes:
     """202 body: the job is admitted but not finished; poll for it."""
-    data = {"digest": digest, "state": state,
-            "poll": f"/result/{digest}"}
-    if position is not None:
-        data["position"] = position
-    return canonical_json(data)
+    return canonical_json({"digest": digest, "state": state,
+                           "poll": f"/result/{digest}"})
 
 
 def error_body(error: str, message: str, **extra) -> bytes:

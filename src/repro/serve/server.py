@@ -357,7 +357,13 @@ class SimServer:
                         "bad-request", "malformed HTTP request"),
                         keep=False)
                     break
-                length = int(headers.get("content-length", "0") or 0)
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    await self._write(writer, 400, {}, error_body(
+                        "bad-request", "Content-Length must be a "
+                        "non-negative integer"), keep=False)
+                    break
+                length = int(declared)
                 if length > MAX_BODY:
                     await self._write(writer, 413, {}, error_body(
                         "body-too-large",

@@ -9,7 +9,7 @@ frequency domains.
 """
 
 from .clock import ClockDomain
-from .gpu import GPU, run_kernel, run_workload
+from .gpu import GPU, run_kernel
 from .per_sm_vrm import (PerSMEqualizerController, PerSMVRMGPU,
                          run_kernel_per_sm_vrm)
 from .results import RunResult, KernelResult
@@ -18,7 +18,6 @@ __all__ = [
     "ClockDomain",
     "GPU",
     "run_kernel",
-    "run_workload",
     "PerSMVRMGPU",
     "PerSMEqualizerController",
     "run_kernel_per_sm_vrm",

@@ -318,24 +318,6 @@ class GPU:
         return res
 
 
-class _NullController:
-    """Controller stub: fixed hardware, no runtime adaptation."""
-
-    mode = "baseline"
-
-    def attach(self, gpu) -> None:
-        pass
-
-    def on_invocation_start(self, gpu, invocation) -> None:
-        pass
-
-    def on_epoch(self, gpu, per_sm) -> None:
-        pass
-
-    def on_run_end(self, gpu) -> None:
-        pass
-
-
 def run_kernel(workload, sim: SimConfig, controller=None,
                gpu_class=None) -> RunResult:
     """Simulate a workload and attach energy figures.
@@ -369,7 +351,3 @@ def run_kernel(workload, sim: SimConfig, controller=None,
         if gc_was_enabled:
             gc.enable()
     return compute_energy(result, sim.power, sim.gpu)
-
-
-#: Backwards-friendly alias; some call sites read better with this name.
-run_workload = run_kernel

@@ -165,7 +165,7 @@ def coschedule(names: Sequence[str], sm_count: int, scale: float = 1.0,
     partitions (earlier partitions absorb the remainder).  Each spec's
     ``total_blocks`` is scaled by its partition's share of the chip so
     the per-SM load matches the kernel's single-kernel run, and its
-    iteration count by ``scale`` exactly as ``bench_kernel`` does.
+    iteration count by ``scale`` as ``KernelSpec.scaled`` does.
     Multi-invocation specs are collapsed to their first invocation:
     the concurrent phase is inherently one launch.
     """
@@ -192,16 +192,3 @@ def coschedule(names: Sequence[str], sm_count: int, scale: float = 1.0,
                        variant=None)
         assignments.append((spec, sm_ids))
     return MultiKernelWorkload(assignments, seed=seed)
-
-
-def bench_coschedule(name: str, sm_count: int, scale: float = 1.0,
-                     seed: int = 2014) -> MultiKernelWorkload:
-    """The bench suite's ``<kernel>@multikernel`` pairing.
-
-    Pairs ``name`` with a partner of a different behavioural corner so
-    the concurrent run exercises cross-partition memory contention:
-    ``lbm`` (memory-bound) by default, ``cutcp`` (compute-bound) when
-    the kernel under test is lbm itself.
-    """
-    partner = "lbm" if name != "lbm" else "cutcp"
-    return coschedule([name, partner], sm_count, scale=scale, seed=seed)

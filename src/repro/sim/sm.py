@@ -613,10 +613,6 @@ class SM:
         return (sum(b.remaining for b in self.blocks)
                 + sum(b.remaining for b in self.paused_blocks))
 
-    @property
-    def active_block_count(self) -> int:
-        return len(self.blocks)
-
     def busy(self) -> bool:
         """True while any block (active or paused) is resident."""
         return bool(self.blocks or self.paused_blocks)

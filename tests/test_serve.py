@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -178,6 +179,29 @@ class TestFastPaths:
         assert status == 400
         status, _, _ = http(server, "GET", "/result/" + "ab" * 32)
         assert status == 404
+        assert run_count() == 0
+
+    def test_bad_content_length(self, serve):
+        server = serve()
+        for value in ("abc", "-1"):
+            with socket.create_connection((server.host, server.port),
+                                          timeout=30) as sock:
+                sock.sendall((f"POST /simulate HTTP/1.1\r\nHost: t\r\n"
+                              f"Content-Length: {value}\r\n\r\n{{}}"
+                              ).encode())
+                reply = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].startswith("HTTP/1.1 400 "), (value, reply)
+            assert "Connection: close" in lines[1:], value
+            assert json.loads(payload)["error"] == "bad-request"
+        status, _, _ = http(server, "GET", "/healthz")
+        assert status == 200
         assert run_count() == 0
 
     def test_healthz_and_stats(self, serve):

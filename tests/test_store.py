@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.engine.store import (JobStore, default_owner,
-                                fingerprint_id)
+                                fingerprint_id, machine_fingerprint)
 from repro.errors import EngineError
 
 DIG = "a" * 64
@@ -181,6 +181,12 @@ class TestOwnerIdentity:
         fp, _, pid = owner.partition(":")
         assert fp == fingerprint_id()
         assert int(pid) == os.getpid()
+
+    def test_machine_fingerprint_is_stable_and_stringly(self):
+        fp = machine_fingerprint()
+        assert fp == machine_fingerprint()
+        assert set(fp) == {"machine", "system", "processor", "python"}
+        assert all(isinstance(v, str) for v in fp.values())
 
 
 class TestOpenExisting:
