@@ -96,6 +96,20 @@ def _run_supervised(worker, actions, kernel, key, scale, sim):
     return worker(kernel, key, scale, sim)
 
 
+def _kernel_major(jobs: List[Job]) -> List[Job]:
+    """``jobs`` grouped by kernel, kernels in order of first appearance.
+
+    A pool worker then runs one kernel's jobs back to back, so each
+    job after its first finds the kernel's warp draw schedules in the
+    worker's one-kernel memo (``repro.workloads.spec``) and builds its
+    warps without seeding an RNG.
+    """
+    groups: Dict[str, List[Job]] = {}
+    for job in jobs:
+        groups.setdefault(job.kernel, []).append(job)
+    return [job for group in groups.values() for job in group]
+
+
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Kill a pool's worker processes without waiting on them.
 
@@ -319,6 +333,9 @@ class Engine:
         job that exhausts the budget lands in the report's failures.
         A killed driver leaves ``store`` consistent: re-invoking with
         it resumes exactly where the driver died.
+
+        Misses are submitted kernel-major (see :func:`_kernel_major`);
+        registration and the report's outcomes keep plan order.
         """
         workers = workers or self.jobs
         start = time.perf_counter()
@@ -341,7 +358,8 @@ class Engine:
                     ledger.requeue_lost(digest)
                 todo.append(job)
             if todo:
-                self._supervise(todo, workers, by_job, ledger)
+                self._supervise(_kernel_major(todo), workers, by_job,
+                                ledger)
         finally:
             if store is None:
                 ledger.close()

@@ -19,6 +19,8 @@ import sys
 
 from ..engine.cache import DEFAULT_CACHE_DIR
 from ..engine.executor import DEFAULT_MAX_ATTEMPTS, DEFAULT_TIMEOUT
+from ..engine.store import JobStore
+from ..errors import EngineError
 from .server import SimServer
 
 
@@ -83,9 +85,26 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         # SIGINT or SIGTERM.  Queued jobs stay 'new' in the ledger; a
         # restart with the same --ledger resumes them.
-        print("interrupted; queued jobs remain in "
-              f"{server.ledger_path}", file=sys.stderr)
+        queued = _resumable(server.ledger_path, args.scale)
+        if queued:
+            print(f"interrupted; {queued} queued job(s) remain in "
+                  f"{server.ledger_path}", file=sys.stderr)
+        else:
+            print("interrupted", file=sys.stderr)
     return 0
+
+
+def _resumable(ledger_path: str, scale: float) -> int:
+    """How many jobs a restart on this ledger and scale would resume."""
+    try:
+        store = JobStore(ledger_path, create=False)
+    except EngineError:
+        return 0
+    try:
+        return sum(1 for record in store.pending()
+                   if record.scale == scale)
+    finally:
+        store.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

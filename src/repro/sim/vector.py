@@ -44,17 +44,21 @@ queue/bucket order all closed-form functions of ``(N, A, dep, H)`` --
 no per-cycle work at all.
 
 Boundaries -- a warp exhausting its ALU run -- are the only events
-that need the program.  They are processed from a heap in *global
-service order* (exactly the order the scalar loop would have called
-``next_op``), which preserves each program's private RNG stream
-bit-for-bit: the draws inside ``next_op`` (ALU jitter, store coin,
-address model) happen in the same per-warp sequence because they
-happen in the same calls.  A boundary that starts another ALU run
-extends the cadence; a boundary that fetches a memory op ends the span
-just after its cycle; a barrier/retire boundary is *peeked* (the
-branch predicate of ``next_op``, evaluated without calling it) and
-ends the span just before its cycle, so the scalar body replays that
-cycle with zero draws consumed.
+that need the program.  A program draws no random numbers while it
+runs: its jitter, store coins and mixed-address choices were drawn into
+its schedule at construction (:mod:`repro.workloads.schedule`), so its
+op stream is a pure function of its own cursor, whoever calls
+``next_op`` and whenever.  What the burst must get right is only *how
+many* ``next_op`` calls each warp receives before ``H``.  Boundaries
+are processed from a heap in *global service order* (the order the
+scalar loop would have called ``next_op``) so that the span end is
+settled before any boundary at or past it is consumed.  A boundary
+that starts another ALU run extends the cadence; a boundary that
+fetches a memory op ends the span just after its cycle; a
+barrier/retire boundary is *peeked* (the branch predicate of
+``next_op``, evaluated without calling it) and ends the span just
+before its cycle, so the scalar body replays that cycle with the
+cursor untouched.
 
 Everything outside the pure regime -- pauses, hooks, texture state,
 any LSU/MSHR occupancy, non-uniform dependence latencies, non-ALU
@@ -192,7 +196,7 @@ def _plan(sm, c0, bucket, interval, epoch_bound):
     if h - c0 < MIN_SPAN:
         return False
 
-    # ---- cadence collection (read-only, draw-free) -------------------
+    # ---- cadence collection (read-only) -------------------------------
     # FIFO order: the ready backlog, then this cycle's wakes, then
     # future arrivals in due order -- exactly the order the scalar
     # wake/issue path would build the queue in.  Warps in ready_alu
@@ -219,7 +223,7 @@ def _plan(sm, c0, bucket, interval, epoch_bound):
             warps.append(w)
             dues.append(k)
 
-    # ---- saturation pre-check (closed form, draw-free) ---------------
+    # ---- saturation pre-check (closed form, read-only) ---------------
     # Full dual issue needs qlen >= A before every issue.  With A
     # re-arrivals per cycle from dep cycles back, underflow can only
     # begin while the pipeline fills: check the dep-length prefix,
@@ -241,7 +245,7 @@ def _plan(sm, c0, bucket, interval, epoch_bound):
     if h - c0 < MIN_SPAN:
         return False
 
-    # ---- draw-free boundary peek ------------------------------------
+    # ---- read-only boundary peek ------------------------------------
     # First boundary of warp p (FIFO position p) is service index
     # j0*N + p at cycle c0 + index // A.  A mem boundary ends the span
     # just after its cycle, a special (barrier/retire) just before;
@@ -261,9 +265,9 @@ def _plan(sm, c0, bucket, interval, epoch_bound):
         return False
 
     # ---- committed: boundary event loop in global service order ------
-    # From here on draws happen; every draw's service cycle precedes
-    # the final H, so the burst must complete (it always can -- H only
-    # shrinks to cycles the closed form still covers).
+    # From here on cursors advance; every next_op call's service cycle
+    # precedes the final H, so the burst must complete (it always can
+    # -- H only shrinks to cycles the closed form still covers).
     progs = [w.program for w in warps]
     base_j = [0] * n
     base_t = [0] * n
@@ -292,8 +296,8 @@ def _plan(sm, c0, bucket, interval, epoch_bound):
                 special = True
                 break
         if special:
-            # The whole cycle replays scalar; no draws were consumed
-            # at s, so the scalar body's next_op calls line up.
+            # The whole cycle replays scalar; no cursor moved at s,
+            # so the scalar body's next_op calls line up.
             h = s
             break
         for i, p in group:

@@ -18,6 +18,7 @@ so distinct warps never alias unless a model makes them share.
 """
 
 from ..errors import WorkloadError
+from .schedule import mixed_seed
 
 #: Line-address stride separating two warps' private regions.
 WARP_REGION_LINES = 1 << 18
@@ -116,24 +117,22 @@ class MixedAddresses:
     Models kernels whose inner loop reuses a tile but also streams
     through fresh data (e.g. bp-1): the streaming share sets the
     bandwidth appetite while the working-set share sets L1 behaviour.
+    Which access streams is drawn, with probability ``fraction``, from
+    a stream seeded with ``seed`` -- by the warp's draw schedule
+    (:mod:`repro.workloads.schedule`), which then calls ``ws.next`` or
+    ``stream.next`` directly.
     """
 
-    __slots__ = ("ws", "stream", "fraction", "_rng")
+    __slots__ = ("ws", "stream", "fraction", "seed")
 
     def __init__(self, ws_model, stream_model, fraction: float,
                  seed: int) -> None:
         if not 0.0 <= fraction <= 1.0:
             raise WorkloadError("stream fraction must lie in [0, 1]")
-        from random import Random
         self.ws = ws_model
         self.stream = stream_model
         self.fraction = fraction
-        self._rng = Random(seed)
-
-    def next(self):
-        if self._rng.random() < self.fraction:
-            return self.stream.next()
-        return self.ws.next()
+        self.seed = seed
 
 
 def make_address_model(phase, block_uid: int, warp_idx: int):
@@ -156,5 +155,5 @@ def make_address_model(phase, block_uid: int, warp_idx: int):
         stream = StreamingAddresses(
             warp_base(block_uid, warp_idx) + (1 << 16), txns=phase.txns)
         return MixedAddresses(model, stream, phase.stream_fraction,
-                              seed=block_uid * 64 + warp_idx)
+                              seed=mixed_seed(block_uid, warp_idx))
     return model

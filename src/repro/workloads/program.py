@@ -9,13 +9,13 @@ Figure 11b behaviours).
 """
 
 from dataclasses import dataclass
-from random import Random
 from typing import Tuple
 
 from ..errors import WorkloadError
 from ..sim.instruction import (OP_ALU, OP_BARRIER, OP_DONE, OP_LOAD,
                                OP_STORE, OP_TEX_LOAD)
-from .addresses import make_address_model
+from .addresses import MixedAddresses, make_address_model
+from .schedule import draw_schedules, phase_bounds
 
 _ALU = (OP_ALU, None)
 _BARRIER = (OP_BARRIER, None)
@@ -60,18 +60,26 @@ class Phase:
 
 
 class WarpProgram:
-    """Instruction stream of one warp."""
+    """Instruction stream of one warp.
+
+    Every random input of the stream (ALU-run jitter, store coin,
+    mixed-address choice) is read from a precomputed draw schedule
+    (:mod:`repro.workloads.schedule`), so :meth:`next_op` only walks a
+    cursor: ``_i`` (iterations started), ``_j`` (ALU ops left in the
+    current run), ``_emit_mem``/``_pending_barrier`` (what follows the
+    run) and ``_phase_idx``.  ``schedule`` passes in a prebuilt one --
+    it must be what :func:`draw_schedules` returns for these arguments.
+    """
 
     __slots__ = ("_phases", "_iters", "_models", "_phase_idx", "_i",
                  "_phase_end", "_j", "_emit_mem", "_pending_barrier",
-                 "_barrier_interval", "_rng", "_model", "_phase",
-                 "total_iterations", "dep_latency",
-                 "_sf", "_tex", "_mnext", "_alu", "_jitter", "_random",
-                 "_randbelow", "_jspan")
+                 "_barrier_interval", "_codes", "_ops", "_mem",
+                 "total_iterations", "dep_latency")
 
     def __init__(self, phases: Tuple[Phase, ...], iterations: int,
                  block_uid: int, warp_idx: int, seed: int,
-                 barrier_interval: int = 0, dep_latency: int = 6) -> None:
+                 barrier_interval: int = 0, dep_latency: int = 6,
+                 schedule=None) -> None:
         if iterations < 1:
             raise WorkloadError("iterations must be >= 1")
         if not phases:
@@ -84,39 +92,22 @@ class WarpProgram:
         self._phases = phases
         self.total_iterations = iterations
         self._barrier_interval = barrier_interval
-        self._rng = Random(seed)
+        if schedule is None:
+            schedule, = draw_schedules(phases, iterations, block_uid,
+                                       ((warp_idx, seed),))
+        self._codes = schedule
+        bounds = phase_bounds(phases, iterations)
         self._models = [make_address_model(p, block_uid, warp_idx)
                         for p in phases]
-        # Phase boundaries in absolute iteration numbers.
-        bounds = []
-        acc = 0.0
-        for p in phases[:-1]:
-            acc += p.fraction
-            bounds.append(int(acc * iterations))
-        bounds.append(iterations)
         self._iters = bounds
         self._phase_idx = 0
-        self._phase = phases[0]
-        self._model = self._models[0]
         self._phase_end = bounds[0]
+        self._ops = _mem_ops(phases[0], self._models[0])
+        self._mem = None
         self._i = 0
         self._j = 0
         self._emit_mem = False
         self._pending_barrier = False
-        # Per-phase attributes cached as plain slots (refreshed on
-        # phase switch) so the per-operation path never walks the
-        # frozen dataclass; bound methods skip the lookup entirely.
-        self._sf = phases[0].store_fraction
-        self._tex = phases[0].texture
-        self._alu = phases[0].alu_per_mem
-        self._jitter = phases[0].alu_jitter
-        self._mnext = self._models[0].next
-        self._random = self._rng.random
-        # randint(-j, j) is exactly -j + _randbelow(2j + 1) (see
-        # random.Random.randrange); binding _randbelow keeps the draw
-        # sequence identical while skipping two wrapper frames.
-        self._randbelow = self._rng._randbelow
-        self._jspan = 2 * self._jitter + 1
 
     def next_op(self):
         """Return the warp's next ``(opcode, payload)`` operation."""
@@ -126,14 +117,8 @@ class WarpProgram:
             return _ALU
         if self._emit_mem:
             self._emit_mem = False
-            sf = self._sf
-            if sf and self._random() < sf:
-                op = OP_STORE
-            elif self._tex:
-                op = OP_TEX_LOAD
-            else:
-                op = OP_LOAD
-            return (op, self._mnext())
+            op, addresses = self._mem
+            return (op, addresses())
         if self._pending_barrier:
             self._pending_barrier = False
             return _BARRIER
@@ -141,39 +126,43 @@ class WarpProgram:
         i = self._i
         if i >= self.total_iterations:
             return _DONE
-        while i >= self._phase_end:
-            idx = self._phase_idx + 1
+        if i >= self._phase_end:
+            idx = self._phase_idx
+            while i >= self._iters[idx]:
+                idx += 1
             self._phase_idx = idx
-            phase = self._phases[idx]
-            model = self._models[idx]
-            self._phase = phase
-            self._model = model
             self._phase_end = self._iters[idx]
-            self._sf = phase.store_fraction
-            self._tex = phase.texture
-            self._alu = phase.alu_per_mem
-            self._jitter = phase.alu_jitter
-            self._jspan = 2 * phase.alu_jitter + 1
-            self._mnext = model.next
-        self._i = i + 1
-        alu = self._alu
-        jitter = self._jitter
-        if jitter:
-            alu += self._randbelow(self._jspan) - jitter
-        if self._barrier_interval and (
-                self._i % self._barrier_interval == 0):
+            self._ops = _mem_ops(self._phases[idx], self._models[idx])
+        code = self._codes[i]
+        i += 1
+        self._i = i
+        interval = self._barrier_interval
+        if interval and i % interval == 0:
             self._pending_barrier = True
+        mem = self._ops[code & 3]
+        alu = code >> 2
         if alu:
             # First ALU of the run; the memory access follows it.
             self._j = alu - 1
             self._emit_mem = True
+            self._mem = mem
             return _ALU
         # No ALU run this iteration: emit the memory access directly.
-        sf = self._sf
-        if sf and self._random() < sf:
-            op = OP_STORE
-        elif self._tex:
-            op = OP_TEX_LOAD
-        else:
-            op = OP_LOAD
-        return (op, self._mnext())
+        op, addresses = mem
+        return (op, addresses())
+
+
+def _mem_ops(phase: Phase, model):
+    """``(opcode, address source)`` of a memory access, by code bits.
+
+    Indexed by ``code & 3`` (store bit, stream bit); a store takes
+    precedence over the texture path, and only a mixed model has a
+    separate streaming source.
+    """
+    load = OP_TEX_LOAD if phase.texture else OP_LOAD
+    if isinstance(model, MixedAddresses):
+        ws = model.ws.next
+        stream = model.stream.next
+    else:
+        ws = stream = model.next
+    return ((load, ws), (load, stream), (OP_STORE, ws), (OP_STORE, stream))

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Tuple
 
 from ..errors import WorkloadError
 from .program import Phase, WarpProgram
+from .schedule import draw_schedules
 
 #: Categories used throughout the paper.
 CATEGORIES = ("compute", "memory", "cache", "unsaturated")
@@ -95,12 +96,31 @@ class KernelSpec:
                                                    * factor)))
 
 
+#: The draw schedules of the last kernel a workload was built for in
+#: this process, as ``(key, {block_uid: per-warp schedules})``.  One
+#: slot: a workload of a different kernel replaces it, so memory stays
+#: one kernel's schedules, while a run that follows a run of the same
+#: kernel (another controller, the next job of a kernel-major sweep)
+#: seeds no RNG at all.  The key carries ``variant`` because spec
+#: equality ignores it.  The slot is read and replaced whole, so a
+#: workload built concurrently in another thread can never be handed
+#: a dict filled for a different kernel.
+_last_kernel = (None, None)
+
+
 class SyntheticWorkload:
     """Adapter realising a spec into the simulator's workload protocol."""
 
     def __init__(self, spec: KernelSpec, seed: int = 2014) -> None:
         self.spec = spec
         self.seed = seed
+        global _last_kernel
+        key = (spec, spec.variant, seed)
+        last_key, schedules = _last_kernel
+        if last_key != key:
+            schedules = {}
+            _last_kernel = (key, schedules)
+        self._schedules = schedules
 
     @property
     def name(self) -> str:
@@ -129,17 +149,22 @@ class SyntheticWorkload:
                 iters = max(1, int(iterations * spec.imbalance_factor))
             factories.append(self._make_factory(
                 phases, iters, block_uid, seed, spec.wcta,
-                spec.barrier_interval, spec.dep_latency))
+                spec.barrier_interval, spec.dep_latency,
+                self._schedules))
         return factories
 
     @staticmethod
     def _make_factory(phases, iterations, block_uid, seed, wcta,
-                      barrier_interval, dep_latency):
+                      barrier_interval, dep_latency, schedules):
         def factory():
+            block = schedules.get(block_uid)
+            if block is None:
+                block = schedules[block_uid] = draw_schedules(
+                    phases, iterations, block_uid,
+                    [(w, seed + block_uid * 64 + w) for w in range(wcta)])
             return [WarpProgram(phases, iterations, block_uid, w,
                                 seed + block_uid * 64 + w,
-                                barrier_interval=barrier_interval,
-                                dep_latency=dep_latency)
+                                barrier_interval, dep_latency, block[w])
                     for w in range(wcta)]
         return factory
 

@@ -216,6 +216,39 @@ class TestPlanning:
         assert not cache_dir.exists()
 
 
+_ORDER_ENV = "REPRO_TEST_ORDER_FILE"
+
+
+def order_worker(kernel, key, scale, sim):
+    """Record the run order across the pool; simulate nothing."""
+    with open(os.environ[_ORDER_ENV], "a") as handle:
+        handle.write(f"{kernel} {key[0]}\n")
+    return f"{kernel}/{key[0]}", 0.0
+
+
+class TestSubmissionOrder:
+    def test_misses_run_kernel_major_outcomes_stay_in_plan_order(
+            self, tmp_path, monkeypatch):
+        order_file = tmp_path / "order.log"
+        monkeypatch.setenv(_ORDER_ENV, str(order_file))
+        cached = Job("sc", ("baseline",))
+        plan = [Job("lbm", ("baseline",)), Job("sc", ("dyncta",)),
+                cached, Job("lbm", ("ccws",)), Job("kmn", ("baseline",)),
+                Job("sc", ("boost",)), Job("lbm", ("dyncta",))]
+        engine = tiny_engine(tmp_path, use_cache=False,
+                             worker=order_worker)
+        engine._memory[(cached.kernel, cached.key)] = "cached"
+        report = engine.execute(plan, workers=1)
+        # One worker runs jobs in submission order: grouped by kernel,
+        # kernels in order of first appearance, plan order within one.
+        assert order_file.read_text().split("\n")[:-1] == [
+            "lbm baseline", "lbm ccws", "lbm dyncta",
+            "sc dyncta", "sc boost", "kmn baseline"]
+        assert [o.job for o in report.outcomes] == plan
+        assert [o.source for o in report.outcomes] == [
+            "run", "run", "memory", "run", "run", "run", "run"]
+
+
 class TestControllerKeys:
     @pytest.mark.parametrize("key", [
         ("static",), ("static", 0, 0), ("equalizer",), (),

@@ -21,7 +21,8 @@ import time
 import pytest
 
 from helpers import kill_process_group, live_group_members
-from repro.engine import DiskCache, execute_job
+from repro.engine import DiskCache, JobStore, execute_job
+from repro.serve import __main__ as serve_main
 from repro.serve import server as server_module
 from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
                                    REJECT_RATE, RUN,
@@ -455,7 +456,7 @@ class TestLoadgenDeterminism:
 # -- crash recovery ----------------------------------------------------
 
 
-def _spawn_server(tmp_path, env_extra=None):
+def _spawn_server(tmp_path, env_extra=None, stderr=subprocess.DEVNULL):
     """Start a server subprocess in its own session.
 
     SIGTERM (like SIGINT) stops the server together with its pool
@@ -472,7 +473,7 @@ def _spawn_server(tmp_path, env_extra=None):
          "--cache-dir", str(tmp_path / "cache"),
          "--ledger", str(tmp_path / "ledger.sqlite"),
          "--max-attempts", "4"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        env=env, stdout=subprocess.PIPE, stderr=stderr,
         text=True, start_new_session=True)
     line = proc.stdout.readline().strip()
     assert line.startswith("serving on http://"), line
@@ -570,3 +571,30 @@ class TestShutdown:
         assert code == 0
         assert alive == [], "a pool worker outlived its SIGTERMed server"
         assert orphans == []
+
+    def test_sigterm_on_an_empty_queue_reports_nothing_queued(
+            self, tmp_path):
+        """The shutdown line counts what a restart would resume; with
+        nothing queued it must not claim that jobs remain."""
+        proc, port = _spawn_server(tmp_path, stderr=subprocess.PIPE)
+        try:
+            status, _, _ = http(_PortServer(port), "GET", "/healthz")
+            assert status == 200
+            proc.terminate()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            kill_process_group(proc.pid)
+        assert proc.returncode == 0
+        assert "interrupted" in err
+        assert "remain" not in err
+
+    def test_shutdown_count_is_what_a_restart_resumes(self, tmp_path):
+        path = str(tmp_path / "ledger.sqlite")
+        assert serve_main._resumable(path, SCALE) == 0  # no ledger yet
+        store = JobStore(path)
+        for i, scale in enumerate((SCALE, SCALE, SCALE, 0.5)):
+            store.register(f"d{i}", KERNEL, ("boost", 60.0 + i), scale)
+        store.mark_done("d0")
+        store.close()
+        # d1 and d2; d0 is done and d3 belongs to a server at 0.5.
+        assert serve_main._resumable(path, SCALE) == 2

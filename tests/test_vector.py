@@ -3,17 +3,18 @@
 The vector backend's contract is bit identity: a :class:`VectorGPU`
 run produces the exact :class:`~repro.sim.results.RunResult` -- every
 leaf, including epoch records and the energy breakdown -- that the
-scalar chip loop would have produced, and consumes each warp's private
-RNG stream at exactly the same points.  The tests here pin that
+scalar chip loop would have produced, and leaves each warp at exactly
+the same point of its op stream.  The tests here pin that
 contract from the angles the span-burst planner can get wrong:
 
 * leaf-exact equality across the behavioural corners (compute, memory,
   cache) and across random seeds, sample intervals, epoch lengths and
   dependence latencies, with ``MIN_SPAN`` forced low so bursts fire
   aggressively instead of declining on profitability;
-* RNG-stream positions at every epoch boundary -- not just final
-  results -- via a recording controller, so a burst that reorders or
-  elides ``next_op`` draws is caught at the first epoch it desyncs;
+* per-warp stream positions (program cursor and address-model
+  positions) at every epoch boundary -- not just final results -- via
+  a recording controller, so a burst that adds or elides ``next_op``
+  calls is caught at the first epoch it desyncs;
 * the incremental-counter invariant after every burst resync
   (``debug_counters`` re-derives active/waiting from a full scan);
 * the pure-python fallback: without numpy, ``VectorGPU`` *is* the
@@ -37,7 +38,8 @@ from repro.oracle.diff import diff_payloads
 from repro.power.energy_model import compute_energy
 from repro.sim.gpu import GPU, run_kernel
 from repro.sim.vector import VectorGPU, default_gpu_class, have_numpy
-from repro.workloads import build_workload
+from repro.workloads import Phase, build_workload
+from repro.workloads.addresses import MixedAddresses
 
 needs_numpy = pytest.mark.skipif(
     not have_numpy(), reason="vector bursts need numpy")
@@ -165,10 +167,26 @@ def test_vector_identity_across_configs(seed, interval, epoch_cycles,
 
 
 # ----------------------------------------------------------------------
-# RNG stream position at every epoch boundary
+# Stream position at every epoch boundary
 # ----------------------------------------------------------------------
-class _RNGRecorder(Controller):
-    """Snapshots every resident warp's private RNG state per epoch."""
+def _stream_position(program):
+    """Where a warp stands in its op stream.
+
+    The program cursor (iterations started, ALU ops left in the run,
+    the pending memory access and barrier, the phase) plus every
+    address model's position: together they fix the rest of the
+    stream, since the random draws are read from the program's
+    schedule at ``_i``.
+    """
+    models = tuple((m.ws.pos, m.stream.pos)
+                   if isinstance(m, MixedAddresses) else m.pos
+                   for m in program._models)
+    return (program._i, program._j, program._emit_mem,
+            program._pending_barrier, program._phase_idx, models)
+
+
+class _StreamRecorder(Controller):
+    """Snapshots every resident warp's stream position per epoch."""
 
     def __init__(self):
         self.epochs = []
@@ -179,26 +197,32 @@ class _RNGRecorder(Controller):
             for block in sm.blocks:
                 for w in block.warps:
                     key = (sm.sm_id, block.bid, w.wid)
-                    snap[key] = w.program._rng.getstate()
+                    snap[key] = (_stream_position(w.program),
+                                 w.head_op, w.head_payload)
         self.epochs.append(snap)
 
 
 @needs_numpy
 def test_rng_streams_aligned_at_every_epoch(monkeypatch):
-    """A burst that consumed draws early, late, or in the wrong warp
-    order desyncs some stream *mid-run*; comparing per-warp RNG states
-    at every epoch boundary catches it at the first divergence, not
-    just in the final result."""
+    """A burst that called ``next_op`` too often, too rarely, or on the
+    wrong warp leaves some warp at another stream position *mid-run*;
+    comparing every resident warp's cursor, address positions and head
+    op at every epoch boundary catches it at the first divergence, not
+    just in the final result.  The second spec makes every random
+    input live: jitter, store coins and a mixed address model."""
     monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
-    spec = compute_spec(total_blocks=6, iterations=12)
-    rec_v, rec_s = _RNGRecorder(), _RNGRecorder()
-    _run(VectorGPU, spec, controller=rec_v)
-    _run(GPU, spec, controller=rec_s)
-    assert len(rec_v.epochs) == len(rec_s.epochs) > 0
-    for i, (ev, es) in enumerate(zip(rec_v.epochs, rec_s.epochs)):
-        assert ev == es, (
-            f"per-warp RNG streams diverged at epoch {i}: "
-            f"{sorted(k for k in ev if ev[k] != es.get(k))[:4]}")
+    drawn = compute_spec(total_blocks=6, iterations=12, phases=(Phase(
+        alu_per_mem=30, alu_jitter=6, ws_lines=8, shared_ws=True,
+        store_fraction=0.25, stream_fraction=0.3),))
+    for spec in (compute_spec(total_blocks=6, iterations=12), drawn):
+        rec_v, rec_s = _StreamRecorder(), _StreamRecorder()
+        _run(VectorGPU, spec, controller=rec_v)
+        _run(GPU, spec, controller=rec_s)
+        assert len(rec_v.epochs) == len(rec_s.epochs) > 0
+        for i, (ev, es) in enumerate(zip(rec_v.epochs, rec_s.epochs)):
+            assert ev == es, (
+                f"per-warp streams diverged at epoch {i}: "
+                f"{sorted(k for k in ev if ev[k] != es.get(k))[:4]}")
 
 
 # ----------------------------------------------------------------------
