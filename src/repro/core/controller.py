@@ -5,13 +5,9 @@ adjust per-SM concurrency (``sm.set_target_blocks``) and the global
 operating point (``gpu.set_vf``).  Controllers that need fine-grained
 scheduler hooks (CCWS) install themselves as ``sm.hooks``.
 
-Installing ``sm.hooks`` also selects the compiled run-loop variant:
-every run loop exists as a hook-free and a hook-bearing
-specialization (the hooks axis of :mod:`repro.sim.cycle_kernel`), and
-the GPU's ``_cycle_loop`` dispatcher checks once per invocation
-whether any SM carries hooks.  Hooks must therefore be installed at
-``attach`` time, before the run starts -- installing them mid-run
-would leave a hook-free loop executing with hooks present.
+Every compiled run loop checks ``sm.hooks`` at each hook site, so
+hooks need not be installed at ``attach`` time; any controller
+callback may install or remove them.
 """
 
 

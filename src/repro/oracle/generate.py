@@ -143,10 +143,9 @@ def _gen_controller(rng: Random) -> List:
         return ["baseline"]
     if roll < 0.45:
         return ["equalizer", rng.choice(("performance", "energy"))]
-    # CCWS installs sm.hooks, selecting the hook-bearing compiled
-    # variants; DynCTA drives occupancy through the GWDE launch/retire
-    # fragments without hooks.  Together they cover both arms of the
-    # hooks/GWDE specialization axes.
+    # CCWS installs sm.hooks, so its cases exercise the guarded miss
+    # hook site (and vector bursts under instrumentation); DynCTA
+    # drives occupancy through the GWDE launch/retire fragments.
     if roll < 0.55:
         return ["ccws"]
     if roll < 0.65:

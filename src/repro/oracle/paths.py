@@ -24,17 +24,6 @@ variants -- see :data:`FAMILY_VARIANTS` -- diffing ``VectorGPU``
 against the plain fused chip loop in three modes (bursts live,
 fast-forward off, debug counters on).
 
-The hooks family exercises the hooks and GWDE specialization axes on
-the chip skeleton: ``fused`` is the per-run dispatcher (hook-free
-variant unless the case's controller installs ``sm.hooks``),
-``hook-free`` forces the hook-free compiled variant whenever legal
-(collapsing to the dispatcher when the controller installs hooks --
-mirroring the vector family's numpy-absent collapse), ``hook-bearing``
-forces the guarded variant (always legal: the guard is a no-op without
-hooks), and ``method`` additionally drives block launch/retire through
-the GWDE ``request``/``notify_done`` reference API instead of the
-inlined launch/retire fragments.
-
 All variants of a family must produce bit-identical
 :class:`~repro.sim.results.RunResult` payloads.  Families are *not*
 compared to each other: the chip loop records epochs on the SM-cycle
@@ -69,9 +58,7 @@ from .generate import OracleCase
 #: compiled paths must join the oracle matrix.
 LOOP_FAMILIES = {
     "chip-loop": "chip",
-    "chip-loop@hooks": "hooks",
     "per-sm-loop": "per-sm",
-    "per-sm-loop@hooks": "per-sm",
     "vector-loop": "vector",
 }
 
@@ -88,15 +75,10 @@ REFERENCE_VARIANT = "fused"
 #: calendar), and "vector-debug" with ``debug_counters`` on every SM,
 #: which re-derives the incremental counters from a full scan at each
 #: sample *and* after every burst resync.
-#: The hooks family diffs the specialization-axis variants against the
-#: per-run dispatcher: "fused" lets the dispatcher pick, "hook-free"
-#: and "hook-bearing" pin one compiled variant each, and "method"
-#: swaps the inlined GWDE fragments for request/notify_done dispatch.
 FAMILY_VARIANTS = {
     "chip": VARIANTS,
     "per-sm": VARIANTS,
     "vector": ("fused", "vector", "vector-noff", "vector-debug"),
-    "hooks": ("fused", "hook-free", "hook-bearing", "method"),
 }
 
 
@@ -108,10 +90,9 @@ def variants_for(family: str):
 def discover_families() -> Dict[str, List[str]]:
     """family -> run-loop tags, derived from the specialization registry.
 
-    A family may own several tags (the hooks axis gives most skeletons
-    a ``@hooks`` twin).  Raises :class:`OracleError` if a registered
-    run-loop specialization has no family binding -- the guard that
-    keeps the path matrix in lock-step with the compiled paths.
+    Raises :class:`OracleError` if a registered run-loop
+    specialization has no family binding -- the guard that keeps the
+    path matrix in lock-step with the compiled paths.
     """
     families: Dict[str, List[str]] = {}
     for tag, spec in SPECIALIZATIONS.items():
@@ -237,14 +218,12 @@ def make_case_controller(case: OracleCase, family: str,
         return StaticController(sm_vf=sm_vf, mem_vf=mem_vf,
                                 blocks=blocks)
     if kind == "ccws":
-        # Installs sm.hooks at attach time, so the dispatcher selects
-        # the hook-bearing compiled variants.
+        # Installs sm.hooks, exercising the guarded miss hook site.
         from ..baselines.ccws import CCWSController
         return CCWSController()
     if kind == "dyncta":
-        # Drives occupancy (set_target_blocks) without hooks, so the
-        # hook-free variants stay selected while block launch/retire
-        # churn exercises the GWDE axis.
+        # Drives occupancy (set_target_blocks), so block launch/retire
+        # churn exercises the GWDE fragments.
         from ..baselines.dyncta import DynCTAController
         return DynCTAController()
     raise OracleError(f"unknown oracle controller key {key!r}")
@@ -415,32 +394,6 @@ def _run_vector_variant(case: OracleCase, variant: str, sim: SimConfig,
     return compute_energy(gpu.run(workload), sim.power, sim.gpu)
 
 
-def _run_hooks_variant(case: OracleCase, variant: str, sim: SimConfig,
-                       workload, controller) -> RunResult:
-    """One hooks-family path: dispatcher, pinned variant, or method.
-
-    ``fused`` is the per-run dispatcher exactly as production runs it.
-    ``hook-free`` pins the hook-free compiled loop, but only when the
-    controller installs no hooks -- with hooks installed the hook-free
-    variant is not a legal execution, so the path collapses to the
-    dispatcher (the vector family's numpy-absent collapse is the
-    precedent).  ``hook-bearing`` pins the guarded loop, legal
-    everywhere because the guard is a no-op without hooks.  ``method``
-    runs the hand-written reference loop with GWDE method dispatch.
-    """
-    from ..power.energy_model import compute_energy
-    if variant == "method":
-        gpu = MethodPathGPU(sim, controller=controller)
-    else:
-        gpu = GPU(sim, controller=controller)
-        if variant == "hook-free":
-            if not gpu._hooks_installed():
-                gpu._cycle_loop = GPU._loop_hook_free.__get__(gpu, GPU)
-        elif variant == "hook-bearing":
-            gpu._cycle_loop = GPU._loop_hook_bearing.__get__(gpu, GPU)
-    return compute_energy(gpu.run(workload), sim.power, sim.gpu)
-
-
 def run_case_path(case: OracleCase, path_id: str,
                   sim: Optional[SimConfig] = None) -> RunResult:
     """Run one case through one path; return its full RunResult.
@@ -458,9 +411,6 @@ def run_case_path(case: OracleCase, path_id: str,
     if family == "vector":
         return _run_vector_variant(case, variant, sim, workload,
                                    controller)
-    if family == "hooks":
-        return _run_hooks_variant(case, variant, sim, workload,
-                                  controller)
     if family == "chip":
         cls = _CHIP_CLASSES.get(variant, GPU)
     else:

@@ -194,7 +194,7 @@ def applicable_paths(selected: Optional[List[str]] = None) -> List[str]:
     """The validated path ids a sweep runs (every family applies to
     every case, so the matrix is global rather than per-case).
 
-    Entries in ``selected`` may be shell-style patterns (``hooks:*``,
+    Entries in ``selected`` may be shell-style patterns (``vector:*``,
     ``*:method``); each pattern expands against :func:`all_paths` and
     must match at least one path.  Literal ids are validated as before.
     """

@@ -30,8 +30,9 @@ drain thread opens its own on the same WAL ledger path).
 Durability: a request is registered in the ledger *before* its 202 is
 written, so an acknowledged job survives a server crash -- on restart
 with the same ``--ledger``, :meth:`SimServer.start` reaps stranded
-claims and re-feeds every non-terminal row, and determinism makes the
-recomputed results byte-identical.
+claims and re-feeds every non-terminal row whose digest it would
+register itself, and determinism makes the recomputed results
+byte-identical.
 
 Coalescing: the registry maps digest -> one shared future.  All
 waiters ``await asyncio.shield(...)`` on it (shield, so one client
@@ -60,6 +61,7 @@ from ..engine.executor import (DEFAULT_MAX_ATTEMPTS, DEFAULT_TIMEOUT,
                                Engine)
 from ..engine.jobs import Job
 from ..engine.store import JobStore
+from ..errors import SerializationError, WorkloadError
 from .admission import ADMITTED, RUN, AdmissionController
 from .protocol import (DEFAULT_PRIORITY, PROVENANCE_CACHE,
                        PROVENANCE_SIMULATED, BadRequest, accepted_body,
@@ -208,14 +210,14 @@ class SimServer:
         return resumed
 
     def _resume(self) -> int:
-        """Re-feed every non-terminal ledger row from a prior life."""
+        """Re-feed every non-terminal ledger row this server owns."""
         self.store_front.reap()
         count = 0
         for record in self.store_front.pending():
-            if record.scale != self.scale:
-                # A row from a server pinned to another scale: leave
-                # it for that server; running it here would store the
-                # wrong result under its digest.
+            if not self._owns(record):
+                # A row registered under another scale, SimConfig or
+                # code version: running it here would store today's
+                # result under a digest that names a different run.
                 continue
             job = Job(kernel=record.kernel, key=record.key,
                       digest=record.digest)
@@ -225,6 +227,21 @@ class SimServer:
             count += 1
         self.counters["resumed"] = count
         return count
+
+    def _owns(self, record) -> bool:
+        """True when this server would register ``record``'s digest.
+
+        The digest folds in the kernel spec, scale, SimConfig and
+        code salt, so one comparison covers every way a ledger row can
+        belong to another server.  An unknown kernel name (or a key the
+        digest cannot encode) is a mismatch.
+        """
+        try:
+            digest = self.engine.digest(
+                Job(kernel=record.kernel, key=record.key))
+        except (WorkloadError, SerializationError):
+            return False
+        return digest == record.digest
 
     def _drain_main(self) -> None:
         """Drain-thread body: its own ledger connection, same WAL."""

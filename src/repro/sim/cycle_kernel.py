@@ -12,35 +12,29 @@ time:
 * ``MemorySubsystem.cycle``    -- the single memory-cycle entry point;
 * ``SM.ensure_blocks``         -- block launch, GWDE hand-off inlined;
 * ``SM._block_finished``       -- block retire, GWDE notify inlined;
-* ``GPU._loop_hook_free`` / ``_loop_hook_bearing``
-                               -- the fused chip-wide run loop;
-* ``PerSMVRMGPU._loop_hook_free`` / ``_loop_hook_bearing``
-                               -- the fused per-SM-VRM run loop;
-* ``VectorGPU._loop_hook_free``-- the vectorized busy-slot run loop.
+* ``GPU._cycle_loop``          -- the fused chip-wide run loop;
+* ``PerSMVRMGPU._cycle_loop``  -- the fused per-SM-VRM run loop;
+* ``VectorGPU._cycle_loop``    -- the chip-wide loop behind the
+                                  vectorized busy-slot gate.
 
-A *skeleton* template per loop supplies the specialization points the
-variants differ in -- clock-domain advance (one shared SM domain vs a
+A *skeleton* template per clocking supplies the specialization points
+the loops differ in -- clock-domain advance (one shared SM domain vs a
 private domain per SM), iteration order (cycle-major vs SM-major),
 epoch boundaries (SM-cycle axis vs tick axis) -- while the cycle body
 (``SM_CYCLE_CORE``) and the memory cycle (``MEM_CYCLE_CORE``) are
-substituted verbatim into each.  Editing a core template therefore
+substituted verbatim into each.  The vector loop is the chip skeleton
+with a different ``gate`` fragment.  Editing a core template therefore
 edits every path at once; there is nothing left to mirror by hand.
+There is one compiled run loop per GPU class and no per-invocation
+dispatch: the L1-miss instrumentation site (a controller's
+``sm.hooks``, installed by CCWS) is a guarded call in every body.
 
-Orthogonal to the skeletons, two *axes* select what the composed body
-contains:
-
-* the **hooks axis** -- the L1-miss instrumentation site
-  (``${hook_l1_miss}``) renders empty in the base run-loop tags and as
-  a guarded call in the ``@hooks`` tags, so an uninstrumented run
-  executes a body with no per-miss branch at all.  The GPU classes
-  hold both compiled variants and dispatch per invocation on whether
-  a controller installed instrumentation on any SM;
-* the **GWDE axis** -- the drain condition, block launch, and block
-  retire render as counter/deque fragments (``${gwde_while}``,
-  ``${gwde_launch}``, ``${gwde_retire}``) instead of
-  ``GWDE.request``/``notify_done`` method dispatch.  The methods stay
-  on the GWDE classes as the reference API; the oracle's
-  method-dispatch path still exercises them.
+The GWDE fragments render the drain condition, block launch, and
+block retire as counter/deque operations (``${gwde_while}``,
+``${gwde_launch}``, ``${gwde_retire}``) instead of
+``GWDE.request``/``notify_done`` method dispatch.  The methods stay on
+the GWDE classes as the reference API; the oracle's method-dispatch
+path still exercises them.
 
 Fragments communicate through a fixed local-variable contract
 (``sm``, ``gpu``, ``target``, ``interval``, ``buckets``, ``bucket``,
@@ -217,7 +211,12 @@ elif lsu_queue:
         access.idx += 1
     else:
         l1.misses += 1
-        ${hook_l1_miss}
+        # Miss instrumentation (CCWS).  One attribute load and one
+        # None test per miss (~7 ns on CPython 3.11), so every loop
+        # keeps the site rather than compiling a hook-free twin.
+        sm_hooks = sm.hooks
+        if sm_hooks is not None:
+            sm_hooks.on_l1_miss(sm, access.warp, line)
         mshr = sm.mshr
         waiters = mshr.get(line)
         if waiters is not None:
@@ -467,27 +466,7 @@ elif m:
 
 
 # ----------------------------------------------------------------------
-# The hooks axis: the L1-miss instrumentation site.
-#
-# The cycle body marks the site with ``${hook_l1_miss}``.  The
-# hook-free run loops (the default for every uninstrumented
-# controller) substitute the empty fragment, so their compiled bodies
-# carry zero instrumentation branches; the ``@hooks`` variants and the
-# single-SM reference entry point substitute the guarded call below.
-# The guard binds the attribute once so the fragment stays a fixed
-# string the CI lint can reason about.
-# ----------------------------------------------------------------------
-
-#: Guarded per-miss instrumentation call (the hook-bearing variants).
-HOOK_L1_MISS_GUARDED = """\
-sm_hooks = sm.hooks
-if sm_hooks is not None:
-    sm_hooks.on_l1_miss(sm, access.warp, line)
-"""
-
-
-# ----------------------------------------------------------------------
-# The GWDE axis: block launch / retire inlined as fragments.
+# The GWDE fragments: block launch / retire inlined.
 #
 # The run loops' drain condition and the SM's launch/retire paths used
 # to go through ``GWDE.request`` / ``GWDE.notify_done`` method
@@ -538,38 +517,24 @@ gwde.live -= 1
 #: requests, no LSU state and no deferred fetches, the SM can neither
 #: produce nor consume a memory event, so its future is a pure
 #: function of its sleep calendar and the planner may run it ahead of
-#: the chip clock.  Any divergence (memory state present or the
-#: planner declining) falls through to the scalar cycle body with the
-#: gate's bindings intact.  Miss instrumentation never reaches this
-#: gate at all: the fill-free guarantee is a compile-time property of
-#: the hook-free variant -- a controller that observes misses selects
-#: the hook-bearing chip loop instead (see the specialization
-#: registry), so the gate needs no per-slot check for it.  Declines
-#: are memoized on the SM (``_vec_hold``) so dense decline regions do
-#: not pay the O(warps) planning scan on every busy slot.
+#: the chip clock.  The same conditions keep miss instrumentation
+#: exact: every ``sm.hooks`` call reads state a burst cannot touch
+#: (``can_issue_mem`` needs ``ready_mem``, ``on_l1_miss`` an LSU drain,
+#: ``on_l1_evict`` a fill).  Any divergence (memory state present or
+#: the planner declining) falls through to the scalar cycle body with
+#: the gate's bindings intact.  Declines are memoized on the SM
+#: (``_vec_hold``) so dense decline regions neither pay the O(warps)
+#: planning scan nor the burst call on every busy slot.
 VECTOR_GATE = """\
 if sm.cycle >= target:
     continue
-buckets = sm._sleep_buckets
-bucket = buckets.pop(target, None)
-ready_alu = sm.ready_alu
-ready_mem = sm.ready_mem
-lsu_queue = sm.lsu_queue
-lsu_busy = sm._lsu_busy
-if bucket is None and not (
-        ready_alu or ready_mem
-        or lsu_queue or lsu_busy):
-    continue
-lag = target - 1 - sm.cycle
-if lag:
-    sm.skip_cycles(lag, interval)
-sm.cycle = target
+""" + CYCLE_GATE + """\
 if (not sm.mshr and target >= sm._vec_hold
         and not ready_mem and not lsu_queue
         and not lsu_busy and not sm.tex_pending
         and not sm._needs_fetch
-        and vtry(sm, target, bucket, interval,
-                 gpu._next_epoch_cycle)):
+        and gpu._vector_burst(sm, target, bucket, interval,
+                              gpu._next_epoch_cycle)):
     gpu._ff_blocked = False
     continue
 """
@@ -584,7 +549,9 @@ def _cycle_loop(self, workload):
 
     Compiled from repro.sim.cycle_kernel (chip-wide specialization):
     one shared SM clock domain, cycle-major SM iteration, epochs on
-    the SM-cycle axis.
+    the SM-cycle axis.  The catch-up ``skip_cycles`` calls guard on
+    ``lag > 0``: behind the vector gate a burst SM may be ahead of
+    the domain clock; behind the plain gate no SM ever is.
     """
     ${prologue}
     sm_domain = self.sm_domain
@@ -618,78 +585,13 @@ def _cycle_loop(self, workload):
             c = sm_domain.cycles
             for sm in sms:
                 lag = c - sm.cycle
-                if lag:
+                if lag > 0:
                     sm.skip_cycles(lag, interval)
             while sm_domain.cycles >= self._next_epoch_cycle:
                 self._handle_epoch()
                 self._next_epoch_cycle += epoch_cycles
             # The epoch horizon moved (and the controller may have
             # retuned), so a blocked fast-forward may now succeed.
-            self._ff_blocked = False
-    c = sm_domain.cycles
-    for sm in sms:
-        lag = c - sm.cycle
-        if lag:
-            sm.skip_cycles(lag, interval)
-    ticks = self.tick - start_tick
-    self._invocation_ticks.append(ticks)
-    return ticks
-'''
-
-
-# ----------------------------------------------------------------------
-# The vectorized chip-wide run loop (VectorGPU._cycle_loop).
-# ----------------------------------------------------------------------
-VECTOR_LOOP = '''\
-def _cycle_loop(self, workload):
-    """Run the prepared invocation to completion; return its ticks.
-
-    Compiled from repro.sim.cycle_kernel (vectorized busy-slot
-    specialization): the chip-wide loop semantics -- one shared SM
-    clock domain, cycle-major iteration, epochs on the SM-cycle axis
-    -- with a span-burst executor gated in front of the scalar cycle
-    body.  An SM whose busy slot is in the fill-free pure-ALU regime
-    hands its whole run-ahead span to the numpy planner at once and
-    parks its clock ahead of the domain (see the vector gate); every
-    divergent slot executes the scalar body unchanged.  The catch-up
-    ``skip_cycles`` calls guard on ``lag > 0`` because a burst SM may
-    legitimately be ahead of the domain clock.
-    """
-    ${prologue}
-    sm_domain = self.sm_domain
-    vtry = self._vector_burst
-    orders = [[sms[i] for i in range(s, nsms)]
-              + [sms[i] for i in range(s)]
-              for s in range(nsms)]
-    ${gwde_while}
-        if self.tick >= max_ticks:
-            raise SimulationError(
-                f"{workload.name}: exceeded max_ticks={max_ticks}")
-        ${ff_check}
-        tick = self.tick + 1
-        self.tick = tick
-        # sm_domain.advance() unrolled, exactly as in the chip loop.
-        acc = sm_domain._acc + sm_domain.rate
-        n = int(acc)
-        sm_domain._acc = acc - n
-        cbase = sm_domain.cycles
-        sm_domain.cycles = cbase + n
-        order = orders[tick % nsms]
-        for j in range(n):
-            target = cbase + j + 1
-            for sm in order:
-                ${vector_gate}
-                ${cycle_core}
-        ${mem_advance}
-        if sm_domain.cycles >= self._next_epoch_cycle:
-            c = sm_domain.cycles
-            for sm in sms:
-                lag = c - sm.cycle
-                if lag > 0:
-                    sm.skip_cycles(lag, interval)
-            while sm_domain.cycles >= self._next_epoch_cycle:
-                self._handle_epoch()
-                self._next_epoch_cycle += epoch_cycles
             self._ff_blocked = False
     c = sm_domain.cycles
     for sm in sms:
@@ -813,8 +715,8 @@ def ensure_blocks(self):
 
     Compiled from repro.sim.cycle_kernel (block-launch
     specialization): the work-distribution hand-off is inlined as the
-    launch fragment of the GWDE axis, so filling an SM costs deque
-    and counter operations only.
+    GWDE launch fragment, so filling an SM costs deque and counter
+    operations only.
     """
     sm = self
     gwde = sm.gpu.gwde
@@ -836,7 +738,7 @@ def _block_finished(self, block):
 
     Compiled from repro.sim.cycle_kernel (block-retire
     specialization): the retirement notification is inlined as the
-    retire fragment of the GWDE axis.  Retiring the last resident
+    GWDE retire fragment.  Retiring the last resident
     block drops the SM out of ``busy_sm_count``, which together with
     the inlined drain condition ends the run loop.
     """
@@ -929,16 +831,10 @@ def _fragments() -> dict:
         "prologue": LOOP_PROLOGUE,
         "ff_check": FF_CHECK,
         "gate": CYCLE_GATE,
-        "vector_gate": VECTOR_GATE,
         "cycle_core": SM_CYCLE_CORE,
         "mem_advance": MEM_ADVANCE,
         "mem_cycle_core": MEM_CYCLE_CORE,
-        # The hooks axis defaults to the guarded instrumentation call
-        # (the single-SM reference entry point must honour installed
-        # instrumentation); the hook-free run-loop specializations
-        # override it with the empty fragment.
-        "hook_l1_miss": HOOK_L1_MISS_GUARDED,
-        # The GWDE axis: inlined drain condition, launch, and retire.
+        # Inlined GWDE drain condition, launch, and retire.
         "gwde_while": GWDE_WHILE,
         "gwde_launch": GWDE_LAUNCH,
         "gwde_retire": GWDE_RETIRE,
@@ -982,8 +878,8 @@ def _unresolved_names(source: str, namespace: dict) -> set:
     """Names ``source`` reads as globals that nothing will ever bind.
 
     A fragment rendered into a skeleton that lacks its local contract
-    (the vector gate's ``vtry`` outside the vector loop) compiles fine
-    and only fails at run time with a ``NameError`` from the generated code.
+    compiles fine and only fails at run time with a ``NameError`` from
+    the generated code.
     :mod:`symtable` sees the mistake statically: a name a function
     reads but never assigns is an implicit global, and a global that
     is neither in the exec namespace nor a builtin cannot resolve.
@@ -1050,16 +946,9 @@ def compile_template(tag: str, template: str, entry: str, fragments=None):
 #: fuzzed (or rejected by the oracle's coverage test until a family
 #: binding exists for it).
 #:
-#: The run loops compose across the *hooks axis*: the base tags are
-#: the hook-free variants (empty ``hook_l1_miss`` fragment -- zero
-#: instrumentation branches in the compiled body), and the ``@hooks``
-#: tags substitute the guarded call for controllers that observe
-#: misses (CCWS).  ``GPU._cycle_loop`` is a plain dispatcher that
-#: picks the variant per invocation.  The vector loop has no
-#: ``@hooks`` variant by design: its burst regime exists only because
-#: no observer can see inside a span, so an instrumented run uses the
-#: inherited hook-bearing chip loop (bit-identical -- the old vector
-#: loop declined every burst as soon as hooks were installed).
+#: There is one run loop per GPU class.  ``vector-loop`` is the chip
+#: skeleton with the vectorized busy-slot gate as its ``gate``
+#: fragment.
 SPECIALIZATIONS = {
     "cycle-once": {
         "template": CYCLE_ONCE,
@@ -1089,36 +978,20 @@ SPECIALIZATIONS = {
         "template": CHIP_LOOP,
         "entry": "_cycle_loop",
         "kind": "run-loop",
-        "installed_as": "repro.sim.gpu.GPU._loop_hook_free",
-        "fragments": {"hook_l1_miss": ""},
-    },
-    "chip-loop@hooks": {
-        "template": CHIP_LOOP,
-        "entry": "_cycle_loop",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.gpu.GPU._loop_hook_bearing",
-        "fragments": {"hook_l1_miss": HOOK_L1_MISS_GUARDED},
+        "installed_as": "repro.sim.gpu.GPU._cycle_loop",
     },
     "per-sm-loop": {
         "template": PER_SM_LOOP,
         "entry": "_cycle_loop",
         "kind": "run-loop",
-        "installed_as": "repro.sim.per_sm_vrm.PerSMVRMGPU._loop_hook_free",
-        "fragments": {"hook_l1_miss": ""},
-    },
-    "per-sm-loop@hooks": {
-        "template": PER_SM_LOOP,
-        "entry": "_cycle_loop",
-        "kind": "run-loop",
-        "installed_as": "repro.sim.per_sm_vrm.PerSMVRMGPU._loop_hook_bearing",
-        "fragments": {"hook_l1_miss": HOOK_L1_MISS_GUARDED},
+        "installed_as": "repro.sim.per_sm_vrm.PerSMVRMGPU._cycle_loop",
     },
     "vector-loop": {
-        "template": VECTOR_LOOP,
+        "template": CHIP_LOOP,
         "entry": "_cycle_loop",
         "kind": "run-loop",
-        "installed_as": "repro.sim.vector.VectorGPU._loop_hook_free",
-        "fragments": {"hook_l1_miss": ""},
+        "installed_as": "repro.sim.vector.VectorGPU._cycle_loop",
+        "fragments": {"gate": VECTOR_GATE},
     },
 }
 
@@ -1135,48 +1008,3 @@ def build(tag: str):
         ) from None
     return compile_template(tag, spec["template"], spec["entry"],
                             spec.get("fragments"))
-
-
-def build_cycle_once():
-    """Compile ``SM.cycle_once`` (single-SM specialization)."""
-    return build("cycle-once")
-
-
-def build_memory_cycle():
-    """Compile ``MemorySubsystem.cycle``."""
-    return build("memory-cycle")
-
-
-def build_ensure_blocks():
-    """Compile ``SM.ensure_blocks`` (inlined block launch)."""
-    return build("ensure-blocks")
-
-
-def build_block_finished():
-    """Compile ``SM._block_finished`` (inlined block retire)."""
-    return build("block-finished")
-
-
-def build_chip_cycle_loop():
-    """Compile the hook-free chip-wide fused loop."""
-    return build("chip-loop")
-
-
-def build_chip_cycle_loop_hooks():
-    """Compile the hook-bearing chip-wide fused loop."""
-    return build("chip-loop@hooks")
-
-
-def build_per_sm_cycle_loop():
-    """Compile the hook-free per-SM-VRM fused loop."""
-    return build("per-sm-loop")
-
-
-def build_per_sm_cycle_loop_hooks():
-    """Compile the hook-bearing per-SM-VRM fused loop."""
-    return build("per-sm-loop@hooks")
-
-
-def build_vector_cycle_loop():
-    """Compile ``VectorGPU._loop_hook_free`` (vectorized busy slots)."""
-    return build("vector-loop")

@@ -5,11 +5,10 @@ clock).  The SM and memory clock domains execute a rate-scaled number
 of cycles per tick, so changing a domain's VF state speeds up or slows
 down exactly that domain, never wall-clock bookkeeping.
 
-The run loop itself is compiled at import time from the templates in
-:mod:`repro.sim.cycle_kernel`, in two variants along the hooks axis
-(:attr:`GPU._loop_hook_free` / :attr:`GPU._loop_hook_bearing`);
-:meth:`GPU._cycle_loop` dispatches per invocation on whether the
-attached controller installed per-miss instrumentation.  The setup
+The run loop itself (:attr:`GPU._cycle_loop`) is compiled at import
+time from the templates in :mod:`repro.sim.cycle_kernel`; it carries
+the guarded call a controller's per-miss instrumentation needs, so
+hooked (CCWS) and unhooked runs execute the same loop.  The setup
 that precedes it (GWDE construction, kernel preparation, controller
 notification) lives in :meth:`GPU.run_invocation`.
 
@@ -42,8 +41,7 @@ import gc
 from ..config import SimConfig, VF_NORMAL, VF_STATES, vf_ratio
 from ..errors import SimulationError
 from .clock import ClockDomain
-from .cycle_kernel import (build_chip_cycle_loop,
-                           build_chip_cycle_loop_hooks)
+from .cycle_kernel import build
 from .gwde import GWDE
 from .memory import MemorySubsystem
 from .results import EpochRecord, KernelResult, RunResult, Segment
@@ -210,33 +208,11 @@ class GPU:
             sm.ensure_blocks()
         return self._cycle_loop(workload)
 
-    #: The fused run loop's two compiled variants along the hooks axis
-    #: of :mod:`repro.sim.cycle_kernel`: the hook-free body carries no
-    #: per-miss instrumentation branch at all, the hook-bearing body
-    #: keeps the guarded call for controllers that observe misses
-    #: (CCWS).  Subclasses with different clocking (per-SM VRMs)
-    #: install their own specializations of the same templates.
-    _loop_hook_free = build_chip_cycle_loop()
-    _loop_hook_bearing = build_chip_cycle_loop_hooks()
-
-    def _hooks_installed(self) -> bool:
-        """True when any SM carries a controller instrumentation object."""
-        for sm in self.sms:
-            if sm.hooks is not None:
-                return True
-        return False
-
-    def _cycle_loop(self, workload):
-        """Dispatch one invocation to the matching compiled variant.
-
-        The check is per invocation, not per cycle: controllers
-        install instrumentation at attach time (before the first
-        invocation runs), so by the time this dispatcher runs the
-        choice is settled for the whole invocation.
-        """
-        if self._hooks_installed():
-            return self._loop_hook_bearing(workload)
-        return self._loop_hook_free(workload)
+    #: The fused chip-wide run loop, compiled from
+    #: :mod:`repro.sim.cycle_kernel`.  Subclasses with different
+    #: clocking (per-SM VRMs) or a burst gate (vector) install their
+    #: own specializations of the same templates.
+    _cycle_loop = build("chip-loop")
 
     def _fast_forward(self, interval: int) -> bool:
         """Jump toward the next event; True if any ticks were skipped."""

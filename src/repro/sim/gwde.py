@@ -13,8 +13,8 @@ from collections import deque
 class GWDE:
     """Thread-block dispenser for one kernel invocation.
 
-    The hot launch/retire paths are compiled fragments (the GWDE axis
-    of :mod:`repro.sim.cycle_kernel`) that operate directly on
+    The hot launch/retire paths are the compiled GWDE fragments of
+    :mod:`repro.sim.cycle_kernel`, which operate directly on
     :attr:`pending` (via :meth:`pool_for`) and the counters, so they
     must preserve the ``live == len(pending) + outstanding`` invariant
     the inlined drain condition relies on.  :meth:`request` and

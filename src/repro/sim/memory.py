@@ -25,7 +25,7 @@ REQ_READ = 0
 REQ_WRITE = 1
 REQ_TEX = 2
 
-from .cycle_kernel import build_memory_cycle  # noqa: E402
+from .cycle_kernel import build  # noqa: E402
 
 
 class MemorySubsystem:
@@ -85,7 +85,7 @@ class MemorySubsystem:
     #: body in :mod:`repro.sim.cycle_kernel`.  The fused GPU run loops
     #: specialize the same body for the rate-1.0 case, so there is
     #: exactly one definition to edit.
-    cycle = build_memory_cycle()
+    cycle = build("memory-cycle")
 
     # ------------------------------------------------------------------
     # Fast-forward support

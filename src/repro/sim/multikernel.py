@@ -27,8 +27,8 @@ class PartitionedGWDE:
     """A work distribution engine with per-SM block pools.
 
     Maintains the same ``live == pending + outstanding`` invariant as
-    :class:`repro.sim.gwde.GWDE`: the compiled launch/retire fragments
-    (the GWDE axis of :mod:`repro.sim.cycle_kernel`) operate on
+    :class:`repro.sim.gwde.GWDE`: the compiled GWDE launch/retire
+    fragments of :mod:`repro.sim.cycle_kernel` operate on
     :meth:`pool_for` and the counters directly.
     """
 

@@ -23,8 +23,7 @@ from ..config import (SimConfig, VF_HIGH, VF_LOW, VF_NORMAL, VF_STATES,
                       vf_ratio)
 from ..errors import SimulationError
 from .clock import ClockDomain
-from .cycle_kernel import (build_per_sm_cycle_loop,
-                           build_per_sm_cycle_loop_hooks)
+from .cycle_kernel import build
 from .gpu import GPU
 from .results import Segment
 
@@ -94,15 +93,13 @@ class PerSMVRMGPU(GPU):
             sm.skip_cycles(lag, self._sample_interval)
         sm.receive_fill(line, kind)
 
-    #: The fused run loop's two compiled variants (hooks axis), from
-    #: the same cycle-kernel templates as the base class's but
-    #: specialized for this variant's clocking: a private domain per
-    #: SM (SM-major iteration, since per-SM cycle counts diverge) and
-    #: epochs keyed on the wall-clock tick axis.  The inherited
-    #: ``_cycle_loop`` dispatcher and ``run_invocation`` setup apply
-    #: unchanged; only the loops differ.
-    _loop_hook_free = build_per_sm_cycle_loop()
-    _loop_hook_bearing = build_per_sm_cycle_loop_hooks()
+    #: The fused run loop, compiled from the same cycle-kernel
+    #: templates as the base class's but specialized for this
+    #: variant's clocking: a private domain per SM (SM-major
+    #: iteration, since per-SM cycle counts diverge) and epochs keyed
+    #: on the wall-clock tick axis.  The inherited ``run_invocation``
+    #: setup applies unchanged; only the loop differs.
+    _cycle_loop = build("per-sm-loop")
 
     def _fast_forward(self, interval: int) -> bool:
         """Jump toward the next event, with per-domain skip horizons.

@@ -33,8 +33,7 @@ from collections import deque
 
 from ..errors import SimulationError
 from .cache import SetAssocCache
-from .cycle_kernel import (build_block_finished, build_cycle_once,
-                           build_ensure_blocks)
+from .cycle_kernel import build
 from .instruction import (OP_ALU, OP_BARRIER, OP_DONE, OP_STORE,
                           OP_TEX_LOAD)
 from .memory import REQ_TEX
@@ -194,9 +193,9 @@ class SM:
 
     #: Block launch, compiled at import time from the canonical
     #: template in :mod:`repro.sim.cycle_kernel`: the GWDE hand-off is
-    #: inlined (the GWDE axis), so filling an SM costs deque and
+    #: inlined (a GWDE fragment), so filling an SM costs deque and
     #: counter operations instead of work-distribution method calls.
-    ensure_blocks = build_ensure_blocks()
+    ensure_blocks = build("ensure-blocks")
 
     def _launch_block(self, factory) -> None:
         block = ThreadBlock(self.gpu.next_block_id())
@@ -285,7 +284,7 @@ class SM:
 
     #: Block retire, compiled like :attr:`ensure_blocks`: the GWDE
     #: retirement notification is inlined as the retire fragment.
-    _block_finished = build_block_finished()
+    _block_finished = build("block-finished")
 
     # ------------------------------------------------------------------
     # Warp dispatch machinery
@@ -578,7 +577,7 @@ class SM:
     #: drain), compiled at import time from the canonical cycle body in
     #: :mod:`repro.sim.cycle_kernel`.  The fused GPU run loops inline
     #: the same body, so there is exactly one definition to edit.
-    cycle_once = build_cycle_once()
+    cycle_once = build("cycle-once")
 
     # ------------------------------------------------------------------
     # Fast-forward support

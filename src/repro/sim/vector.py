@@ -60,10 +60,19 @@ barrier/retire boundary is *peeked* (the branch predicate of
 before its cycle, so the scalar body replays that cycle with the
 cursor untouched.
 
-Everything outside the pure regime -- pauses, hooks, texture state,
-any LSU/MSHR occupancy, non-uniform dependence latencies, non-ALU
-heads, foreign program types -- declines the burst before any state is
+Everything outside the pure regime -- pauses, texture state, any
+LSU/MSHR occupancy, non-uniform dependence latencies, non-ALU heads,
+foreign program types -- declines the burst before any state is
 touched and falls through to the scalar body.
+
+Miss instrumentation (CCWS's ``sm.hooks``) does not decline a burst.
+Every hook call reads state the burst precondition rules out: memory
+issue (``can_issue_mem``) needs a non-empty ``ready_mem``, an L1 miss
+(``on_l1_miss``) needs an LSU drain, and an eviction
+(``on_l1_evict``) needs a fill, which only answers an MSHR entry.  A
+burst also never crosses an epoch, where CCWS retunes.  So no hook
+call falls inside a span, and a hooked run bursts exactly like an
+unhooked one.
 
 numpy is optional: without it :class:`VectorGPU` keeps the scalar chip
 loop, and every result is identical either way -- the vector oracle
@@ -78,7 +87,7 @@ except ImportError:  # pragma: no cover - numpy is in requirements-ci
     _np = None
 
 from ..workloads.program import WarpProgram
-from .cycle_kernel import build_vector_cycle_loop
+from .cycle_kernel import build
 from .gpu import GPU
 from .instruction import OP_ALU
 from .warp import W_READY_ALU, W_SLEEP
@@ -405,16 +414,12 @@ class VectorGPU(GPU):
     """GPU with the vectorized busy-slot run loop installed.
 
     Bit-identical to :class:`GPU` by construction (the vector oracle
-    family and the golden digests pin it); without numpy it *is* the
-    scalar chip loop.  Only the hook-free variant is vectorized: the
-    burst regime exists because nothing can observe inside a span, so
-    an instrumented run (CCWS) dispatches to the inherited
-    hook-bearing chip loop -- which is what the old per-slot gate
-    check degenerated to anyway (every burst declined).
+    family and the golden digests pin it), instrumented runs (CCWS)
+    included; without numpy it *is* the scalar chip loop.
     """
 
     if _np is not None:
-        _loop_hook_free = build_vector_cycle_loop()
+        _cycle_loop = build("vector-loop")
 
     def _vector_burst(self, sm, target, bucket, interval, epoch_bound):
         return _try_burst(sm, target, bucket, interval, epoch_bound)

@@ -207,20 +207,15 @@ def test_boosted_domain_no_longer_chops_other_skips(monkeypatch):
 
 
 def test_loops_are_generated_from_the_cycle_kernel():
-    """Every installed variant compiles out of cycle_kernel templates."""
+    """Every installed loop compiles out of cycle_kernel templates."""
     from repro.sim import cycle_kernel
     from repro.sim.sm import SM
-    for fn in (GPU._loop_hook_free, GPU._loop_hook_bearing,
-               PerSMVRMGPU._loop_hook_free,
-               PerSMVRMGPU._loop_hook_bearing,
+    for fn in (GPU._cycle_loop, PerSMVRMGPU._cycle_loop,
                SM.cycle_once, SM.ensure_blocks, SM._block_finished):
         assert fn.__code__.co_filename.startswith(
             cycle_kernel.SOURCE_PREFIX), fn
-    # The per-SM loops are real specializations, not inherited copies,
-    # and the two variants of each loop are distinct compilations.
-    assert PerSMVRMGPU._loop_hook_free is not GPU._loop_hook_free
-    assert PerSMVRMGPU._loop_hook_bearing is not GPU._loop_hook_bearing
-    assert GPU._loop_hook_free is not GPU._loop_hook_bearing
+    # The per-SM loop is a real specialization, not an inherited copy.
+    assert PerSMVRMGPU._cycle_loop is not GPU._cycle_loop
 
 
 def test_no_mirroring_warnings_remain_in_sim_sources():

@@ -99,9 +99,7 @@ def test_every_run_loop_specialization_has_a_family():
     # The classic families keep the classic four-variant expansion.
     assert variants_for("chip") == VARIANTS
     assert variants_for("per-sm") == VARIANTS
-    # The hooks family covers the hooks/GWDE specialization axes.
-    assert variants_for("hooks") == ("fused", "hook-free",
-                                     "hook-bearing", "method")
+    assert set(families) == {"chip", "per-sm", "vector"}
     # And in the other direction: no binding outlives its loop, and no
     # variant tuple outlives its family.
     assert set(LOOP_FAMILIES) == run_loops
@@ -144,11 +142,11 @@ def test_malformed_path_ids_are_rejected():
 
 
 def test_path_patterns_expand_against_the_matrix():
-    """--paths accepts shell-style patterns like ``hooks:*``."""
+    """--paths accepts shell-style patterns like ``vector:*``."""
     from repro.oracle.runner import applicable_paths
-    expanded = applicable_paths(["hooks:*"])
+    expanded = applicable_paths(["vector:*"])
     assert expanded == [p for p in all_paths()
-                        if p.startswith("hooks:")]
+                        if p.startswith("vector:")]
     assert len(expanded) == 4
     with pytest.raises(OracleError):
         applicable_paths(["warp:*"])

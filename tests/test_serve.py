@@ -28,7 +28,9 @@ from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
                                    REJECT_RATE, RUN,
                                    AdmissionController, TokenBucket)
 from repro.serve.loadgen import SHAPES, build_trace, trace_digests
-from repro.serve.protocol import PROVENANCE_CACHE, result_body
+from repro.experiments.common import default_sim
+from repro.serve.protocol import (PROVENANCE_CACHE, normalize_request,
+                                  result_body)
 from repro.serve.server import SimServer
 
 SCALE = 0.05
@@ -552,6 +554,33 @@ class TestCrashRecovery:
             orphans = [pid for server in servers
                        for pid in kill_process_group(server.pid)]
         assert orphans == [], "a dead server's workers outlived it"
+
+
+class TestResume:
+    def test_only_rows_with_this_servers_digest_resume(
+            self, serve, tmp_path):
+        """A ledger row registered under another code version or
+        SimConfig carries a digest this server would never compute;
+        resuming it would store today's result under that digest.
+        Such rows (and rows naming an unknown kernel) are neither
+        counted as resumed nor run."""
+        own = normalize_request({"kernel": KERNEL, "key": ["baseline"]},
+                                default_sim(), SCALE, "t").digest
+        foreign, unknown = "f" * 64, "e" * 64
+        store = JobStore(str(tmp_path / "ledger.sqlite"))
+        store.register(own, KERNEL, ("baseline",), SCALE)
+        store.register(foreign, KERNEL, ("baseline",), SCALE)
+        store.register(unknown, "no-such-kernel", ("baseline",), SCALE)
+        server = serve(worker=counting_worker)
+        try:
+            assert server.counters["resumed"] == 1
+            status, _ = poll_result(server, own)
+            assert status == 200
+            assert store.state(foreign) == "new"
+            assert store.state(unknown) == "new"
+        finally:
+            store.close()
+        assert run_count() == 1
 
 
 class TestShutdown:

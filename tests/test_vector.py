@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (cache_spec, compute_spec, memory_spec,
                      tiny_equalizer, tiny_sim)
 import repro.sim.vector as vector
+from repro.baselines.ccws import CCWSController
 from repro.core.controller import Controller
 from repro.oracle.diff import diff_payloads
 from repro.power.energy_model import compute_energy
@@ -94,6 +95,24 @@ def test_compute_spec_actually_bursts(monkeypatch):
     gpu = _BurstCounter(sim, controller=None)
     gpu.run(build_workload(compute_spec(), seed=7))
     assert gpu.bursts > 0
+
+
+@needs_numpy
+@pytest.mark.parametrize("spec_factory", [compute_spec, cache_spec])
+def test_ccws_runs_burst_and_match_scalar(spec_factory, monkeypatch):
+    """Miss instrumentation does not decline bursts: a CCWS run
+    bursts and stays leaf-exact with the scalar chip loop."""
+    monkeypatch.setattr(vector, "MIN_SPAN", TEST_SPAN)
+    runs = []
+    for cls in (_BurstCounter, GPU):
+        sim = tiny_sim()
+        gpu = cls(sim, controller=CCWSController())
+        result = gpu.run(build_workload(spec_factory(), seed=7))
+        runs.append(compute_energy(result, sim.power, sim.gpu))
+        if cls is _BurstCounter:
+            assert gpu.bursts > 0
+            assert all(sm.hooks is not None for sm in gpu.sms)
+    _assert_leaf_exact(runs[0], runs[1], "ccws")
 
 
 # ----------------------------------------------------------------------
@@ -257,13 +276,11 @@ def test_vector_without_numpy_is_the_chip_loop():
     """The fallback contract: no numpy, no separate code path.  The
     class body only installs the vector loop when numpy imports, so
     the fallback cannot drift from the scalar loop -- it *is* it."""
-    if "_loop_hook_free" in VectorGPU.__dict__:
+    if "_cycle_loop" in VectorGPU.__dict__:
         assert have_numpy()
     else:
         assert not have_numpy()
-    # The hook-bearing variant is always the inherited chip loop: a
-    # controller observing misses forfeits the burst regime entirely.
-    assert "_loop_hook_bearing" not in VectorGPU.__dict__
+        assert VectorGPU._cycle_loop is GPU._cycle_loop
 
 
 # ----------------------------------------------------------------------
