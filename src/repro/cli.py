@@ -105,7 +105,7 @@ def _run(args) -> int:
         if name == "tables":
             data = module.run()
         elif name == "ablations":
-            data = module.run(kernels)
+            data = module.run(kernels, scale=args.scale)
         elif name == "motivation":
             data = module.run(cache.sim, scale=args.scale)
         elif name == "persm":

@@ -1,4 +1,4 @@
-"""Engine CLI: durable sweeps, regression guard, cache inspection.
+"""Engine CLI: durable sweeps, ledger inspection, regression guard.
 
 Usage::
 
@@ -9,7 +9,6 @@ Usage::
     python -m repro.engine solo --kernel cutcp --key '["baseline"]'
     python -m repro.engine check --against results/reference.json
     python -m repro.engine check --against results/reference.json --update
-    python -m repro.engine cache-stats
 """
 
 import argparse
@@ -19,7 +18,7 @@ import sys
 
 from ..errors import EngineError, ReproError
 from . import check as check_mod
-from .cache import DEFAULT_CACHE_DIR, DiskCache
+from .cache import DEFAULT_CACHE_DIR
 from .executor import (DEFAULT_LEASE, DEFAULT_MAX_ATTEMPTS,
                        DEFAULT_TIMEOUT, Engine, execute_job)
 from .jobs import collect_jobs
@@ -215,13 +214,6 @@ def run_check(args) -> int:
     return 0
 
 
-def run_cache_stats(args) -> int:
-    stats = DiskCache(args.cache_dir).stats()
-    print(f"{args.cache_dir}: {stats['entries']} entries, "
-          f"{stats['bytes'] / 1e6:.1f} MB")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.engine",
@@ -301,11 +293,6 @@ def main(argv=None) -> int:
                          help="rewrite the reference from current code")
     add_engine_arguments(check_p)
 
-    stats_p = sub.add_parser("cache-stats",
-                             help="size of the on-disk run cache")
-    stats_p.add_argument("--cache-dir", type=str,
-                         default=DEFAULT_CACHE_DIR, metavar="DIR")
-
     args = parser.parse_args(argv)
     commands = {
         "sweep": run_sweep,
@@ -313,7 +300,6 @@ def main(argv=None) -> int:
         "requeue": run_requeue,
         "solo": run_solo,
         "check": run_check,
-        "cache-stats": run_cache_stats,
     }
     try:
         return commands[args.command](args)

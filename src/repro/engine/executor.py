@@ -20,12 +20,12 @@ the attempt budget, and a job that exhausts it is quarantined with a
 record carrying the full traceback and an exact solo-repro command.
 All of this holds at every worker count, one included.
 
-:meth:`Engine.run` is the in-process path, kept for controller traces
-and debugging; it is never supervised nor faulted.
+:meth:`Engine.run` is the in-process path, for single runs and
+debugging; it is never supervised nor faulted.
 
 Simulations are deterministic, so supervision changes only who runs a
 job and what happens when it dies, never what it computes: a plan
-executed with ``workers=4`` -- even under injected faults
+executed with ``jobs=4`` -- even under injected faults
 (:mod:`repro.faults`) -- populates byte-identical caches to a clean
 one-worker pass.
 """
@@ -220,8 +220,6 @@ class Engine:
         self._cache_degraded = False
         self._worker = worker or execute_job
         self._memory: Dict[Tuple[str, ControllerKey], RunResult] = {}
-        self._controllers: Dict[Tuple[str, ControllerKey], object] = {}
-        self._digests: Dict[Job, str] = {}
 
     # -- cache plumbing ------------------------------------------------
 
@@ -235,12 +233,8 @@ class Engine:
         """
         if job.digest is not None:
             return job.digest
-        cached = self._digests.get(job)
-        if cached is None:
-            cached = job_digest(job, kernel_by_name(job.kernel),
-                                self.sim, self.scale)
-            self._digests[job] = cached
-        return cached
+        return job_digest(job, kernel_by_name(job.kernel), self.sim,
+                          self.scale)
 
     def lookup(self, job: Job) -> Tuple[Optional[RunResult], str]:
         """(result, source) with source "memory"/"disk"/"miss"."""
@@ -282,44 +276,25 @@ class Engine:
     def run(self, kernel: str, key: ControllerKey) -> RunResult:
         """Run (or recall) one kernel under one controller key.
 
-        Runs in this process, unsupervised (no deadline, retry or
-        injected fault): the path for controller traces and
-        debugging.  Plans go through :meth:`execute`.
+        Runs in this process through the engine's worker, unsupervised
+        (no deadline, retry or injected fault): the path for single
+        runs and debugging.  Plans go through :meth:`execute`.
         """
         job = Job(kernel=kernel, key=tuple(key))
         hit, _ = self.lookup(job)
         if hit is not None:
             return hit
-        return self._run_inline(job)
-
-    def _run_inline(self, job: Job) -> RunResult:
-        """Run a job in this process, keeping its controller around."""
-        workload = build_workload(kernel_by_name(job.kernel),
-                                  scale=self.scale, seed=self.sim.seed)
-        controller = make_controller(job.key, self.sim.equalizer)
-        start = time.perf_counter()
-        result = run_kernel(workload, self.sim, controller=controller)
-        self._store(job, result, time.perf_counter() - start)
-        self._controllers[(job.kernel, job.key)] = controller
+        result, seconds = self._worker(kernel, job.key, self.scale,
+                                       self.sim)
+        self._store(job, result, seconds)
         return result
-
-    def controller(self, kernel: str, key: ControllerKey):
-        """The controller instance for a run (for trace inspection).
-
-        Results recalled from disk or computed in a worker have no
-        live controller in this process; the run is repeated inline --
-        simulations are deterministic, so the state matches.
-        """
-        if (kernel, tuple(key)) not in self._controllers:
-            self._run_inline(Job(kernel=kernel, key=tuple(key)))
-        return self._controllers[(kernel, tuple(key))]
 
     def __len__(self) -> int:
         return len(self._memory)
 
     # -- plan execution ------------------------------------------------
 
-    def execute(self, plan: List[Job], workers: Optional[int] = None,
+    def execute(self, plan: List[Job],
                 store: Optional[JobStore] = None) -> ExecutionReport:
         """Resolve every job in the plan through a job ledger.
 
@@ -337,7 +312,6 @@ class Engine:
         Misses are submitted kernel-major (see :func:`_kernel_major`);
         registration and the report's outcomes keep plan order.
         """
-        workers = workers or self.jobs
         start = time.perf_counter()
         ledger = store if store is not None else JobStore(":memory:")
         by_job: Dict[Job, JobOutcome] = {}
@@ -358,18 +332,16 @@ class Engine:
                     ledger.requeue_lost(digest)
                 todo.append(job)
             if todo:
-                self._supervise(_kernel_major(todo), workers, by_job,
-                                ledger)
+                self._supervise(_kernel_major(todo), by_job, ledger)
         finally:
             if store is None:
                 ledger.close()
         return ExecutionReport(
             outcomes=[by_job[job] for job in dict.fromkeys(plan)],
             wall_seconds=time.perf_counter() - start,
-            workers=workers)
+            workers=self.jobs)
 
-    def serve_queue(self, store: JobStore, feed,
-                    workers: Optional[int] = None, on_outcome=None,
+    def serve_queue(self, store: JobStore, feed, on_outcome=None,
                     stop=None) -> Dict[Job, JobOutcome]:
         """Continuously claim and run jobs fed by a live queue.
 
@@ -391,8 +363,8 @@ class Engine:
             raise EngineError("serve_queue requires a stop event")
         by_job: Dict[Job, JobOutcome] = {}
         store.reap()
-        self._supervise([], workers or self.jobs, by_job, store,
-                        feed=feed, on_outcome=on_outcome, stop=stop)
+        self._supervise([], by_job, store, feed=feed,
+                        on_outcome=on_outcome, stop=stop)
         return by_job
 
     # -- supervised pool path ------------------------------------------
@@ -414,7 +386,7 @@ class Engine:
                 "scale": self.scale, "digest": digest,
                 "attempts": attempt, "error": error, "repro": repro}
 
-    def _supervise(self, jobs: List[Job], workers: int,
+    def _supervise(self, jobs: List[Job],
                    by_job: Dict[Job, JobOutcome], ledger: JobStore,
                    feed=None, on_outcome=None, stop=None) -> None:
         """Watchdog loop: claim, submit, wait with deadlines, recover.
@@ -435,6 +407,7 @@ class Engine:
         attempts.
         """
         fault_plan = faults.active()
+        workers = self.jobs
         digests = {job: self.digest(job) for job in jobs}
         waiting: List[Job] = list(jobs)
         inflight: Dict = {}  # future -> (job, deadline, attempt)
@@ -462,8 +435,8 @@ class Engine:
             while True:
                 stopping = stop is not None and stop.is_set()
                 if feed is not None and not stopping:
-                    # Keep a small working set ahead of the pool so
-                    # the feed's priority order stays meaningful.
+                    # Pull only a small working set ahead of the
+                    # pool; the rest stays queued in the feed.
                     budget = workers * 2 - len(waiting) - len(inflight)
                     idle = _POLL if not (waiting or inflight) else 0.0
                     for job in (feed(budget, idle) if budget > 0

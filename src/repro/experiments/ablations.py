@@ -30,20 +30,21 @@ ABLATION_KERNELS = ["kmn", "spmv", "cfd-1", "cutcp"]
 
 
 def _run_pair(eq_config: EqualizerConfig, kernels: List[str],
-              seed: int = 2014) -> Dict[str, float]:
+              scale: float = 1.0, seed: int = 2014) -> Dict[str, float]:
     """Speedup (perf mode) and savings (energy mode) for one config."""
     sim = SimConfig(equalizer=eq_config)
     speedups = []
     savings = []
     for name in kernels:
         spec = kernel_by_name(name)
-        base = run_kernel(build_workload(spec, seed=seed), sim)
+        base = run_kernel(build_workload(spec, scale=scale, seed=seed),
+                          sim)
         perf = run_kernel(
-            build_workload(spec, seed=seed), sim,
+            build_workload(spec, scale=scale, seed=seed), sim,
             controller=EqualizerController("performance",
                                            config=eq_config))
         energy = run_kernel(
-            build_workload(spec, seed=seed), sim,
+            build_workload(spec, scale=scale, seed=seed), sim,
             controller=EqualizerController("energy", config=eq_config))
         speedups.append(perf.performance_vs(base))
         savings.append(energy.energy_savings_vs(base))
@@ -54,7 +55,8 @@ def _run_pair(eq_config: EqualizerConfig, kernels: List[str],
 
 
 def epoch_size(kernels: Optional[List[str]] = None,
-               epochs: Optional[List[int]] = None) -> Dict[int, Dict]:
+               epochs: Optional[List[int]] = None,
+               scale: float = 1.0) -> Dict[int, Dict]:
     """Sensitivity to the decision-epoch length.
 
     Short epochs react faster but measure noisier counter averages;
@@ -69,13 +71,13 @@ def epoch_size(kernels: Optional[List[str]] = None,
     for cycles in epochs:
         cfg = replace(base, epoch_cycles=cycles,
                       sample_interval=max(1, cycles // 32))
-        out[cycles] = _run_pair(cfg, kernels)
+        out[cycles] = _run_pair(cfg, kernels, scale)
     return out
 
 
 def hysteresis_depth(kernels: Optional[List[str]] = None,
-                     depths: Optional[List[int]] = None
-                     ) -> Dict[int, Dict]:
+                     depths: Optional[List[int]] = None,
+                     scale: float = 1.0) -> Dict[int, Dict]:
     """Sensitivity to the consecutive-epoch block hysteresis.
 
     Depth 1 lets a single noisy epoch pause a block; the paper's 3
@@ -86,13 +88,13 @@ def hysteresis_depth(kernels: Optional[List[str]] = None,
     out = {}
     for depth in depths:
         cfg = replace(EXPERIMENT_EQUALIZER_CONFIG, block_hysteresis=depth)
-        out[depth] = _run_pair(cfg, kernels)
+        out[depth] = _run_pair(cfg, kernels, scale)
     return out
 
 
 def xmem_threshold(kernels: Optional[List[str]] = None,
-                   thresholds: Optional[List[float]] = None
-                   ) -> Dict[float, Dict]:
+                   thresholds: Optional[List[float]] = None,
+                   scale: float = 1.0) -> Dict[float, Dict]:
     """Sensitivity to the bandwidth-saturation threshold (paper: 2).
 
     Below it, a transient Xmem warp would flag saturation (the paper's
@@ -105,15 +107,16 @@ def xmem_threshold(kernels: Optional[List[str]] = None,
     for thr in thresholds:
         cfg = replace(EXPERIMENT_EQUALIZER_CONFIG,
                       xmem_saturation_threshold=thr)
-        out[thr] = _run_pair(cfg, kernels)
+        out[thr] = _run_pair(cfg, kernels, scale)
     return out
 
 
-def run(kernels: Optional[List[str]] = None) -> Dict[str, Dict]:
+def run(kernels: Optional[List[str]] = None,
+        scale: float = 1.0) -> Dict[str, Dict]:
     return {
-        "epoch_size": epoch_size(kernels),
-        "hysteresis": hysteresis_depth(kernels),
-        "xmem_threshold": xmem_threshold(kernels),
+        "epoch_size": epoch_size(kernels, scale=scale),
+        "hysteresis": hysteresis_depth(kernels, scale=scale),
+        "xmem_threshold": xmem_threshold(kernels, scale=scale),
     }
 
 

@@ -133,14 +133,9 @@ class RunCache:
         """Run (or recall) one kernel under one controller."""
         return self.engine.run(kernel, key)
 
-    def execute(self, jobs: List[Job],
-                workers: Optional[int] = None) -> ExecutionReport:
+    def execute(self, jobs: List[Job]) -> ExecutionReport:
         """Fan a job plan out ahead of rendering (see Engine.execute)."""
-        return self.engine.execute(jobs, workers=workers)
-
-    def controller(self, kernel: str, key: ControllerKey):
-        """The controller instance used for a cached run (for traces)."""
-        return self.engine.controller(kernel, key)
+        return self.engine.execute(jobs)
 
     def baseline(self, kernel: str) -> RunResult:
         return self.run(kernel, BASELINE)

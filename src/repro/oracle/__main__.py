@@ -62,8 +62,6 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-dir", type=str,
                         default=DEFAULT_DUMP_DIR,
                         help="where divergence reproducers are written")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk run cache")
     parser.add_argument("--no-shrink", action="store_true",
                         help="dump divergences unshrunk")
     parser.add_argument("--list-paths", action="store_true",
@@ -97,8 +95,7 @@ def main(argv=None) -> int:
     report = run_oracle(
         seed=args.seed, n=args.n, paths=paths, budget_s=args.budget,
         jobs=args.jobs, dump_dir=args.dump_dir,
-        use_cache=not args.no_cache, do_shrink=not args.no_shrink,
-        log=print)
+        do_shrink=not args.no_shrink, log=print)
     print(report.summary())
     for finding in report.findings:
         print(f"  DIVERGENCE {finding.label()}")

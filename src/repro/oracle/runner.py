@@ -2,21 +2,20 @@
 
 One sweep generates ``n`` seeded cases, runs every applicable
 (case, path) pair through the experiment engine -- reusing its
-supervised process-pool fan-out, retry semantics, and two-level run
-cache -- then diffs each path's full :class:`RunResult` payload
-against its family's fused reference.  Divergences are shrunk to
-minimal reproducers and dumped as committed-format JSON files that
-``tests/test_oracle.py`` can replay.
+supervised process-pool fan-out and retry semantics -- then diffs
+each path's full :class:`RunResult` payload against its family's
+fused reference.  Divergences are shrunk to minimal reproducers and
+dumped as committed-format JSON files that ``tests/test_oracle.py``
+can replay.
 
-Cache correctness: oracle jobs carry a precomputed digest (the engine
-cannot derive one -- oracle kernels are synthetic, not Table II
-names).  The digest covers the case payload, the path id, the
-behaviour code salt, and a hash of this package's own sources, so
-editing either the simulator or the oracle addresses fresh cache
-entries while leaving the experiment cache untouched.
+Oracle jobs bypass the on-disk run cache: a cached result is a run
+the oracle did not re-execute, so it could not vouch for today's code.
+Each job still carries a precomputed digest (the engine cannot derive
+one -- oracle kernels are synthetic, not Table II names) over the case
+payload and the path id, unique within a sweep, which keys the sweep's
+ledger and the engine's memory layer.
 """
 
-import hashlib
 import json
 import os
 import time
@@ -24,9 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
-from ..engine.cache import DEFAULT_CACHE_DIR
 from ..engine.executor import Engine
-from ..engine.fingerprint import code_salt
 from ..engine.jobs import Job
 from ..errors import OracleError
 from ..sim.multikernel import digest_payload
@@ -42,40 +39,12 @@ REPRODUCER_FORMAT = 1
 #: Default directory divergence reproducers are dumped into.
 DEFAULT_DUMP_DIR = "oracle-reproducers"
 
-_oracle_salt_cache = None
-
-
-def _oracle_salt() -> str:
-    """Hash of this package's sources (memoised).
-
-    The engine's :func:`code_salt` deliberately excludes orchestration
-    packages, so the oracle adds its own: an edit to path wiring or
-    case generation must address fresh cache entries.
-    """
-    global _oracle_salt_cache
-    if _oracle_salt_cache is None:
-        root = os.path.dirname(os.path.abspath(__file__))
-        digest = hashlib.sha256()
-        for name in sorted(os.listdir(root)):
-            if name.endswith(".py"):
-                digest.update(name.encode())
-                with open(os.path.join(root, name), "rb") as f:
-                    digest.update(f.read())
-        _oracle_salt_cache = digest.hexdigest()
-    return _oracle_salt_cache
-
 
 def oracle_job(case: OracleCase, path_id: str) -> Job:
     """The engine job for one (case, path) pair."""
     case_json = json.dumps(case.to_dict(), sort_keys=True,
                            separators=(",", ":"))
-    digest = digest_payload({
-        "oracle_format": REPRODUCER_FORMAT,
-        "case": case_json,
-        "path": path_id,
-        "code": code_salt(),
-        "oracle": _oracle_salt(),
-    })
+    digest = digest_payload({"case": case_json, "path": path_id})
     return Job(kernel=f"oracle-{case.seed}", key=(case_json, path_id),
                digest=digest)
 
@@ -232,8 +201,7 @@ def run_oracle(seed: int = 0, n: int = 50,
                paths: Optional[List[str]] = None,
                budget_s: Optional[float] = None, jobs: int = 1,
                dump_dir: str = DEFAULT_DUMP_DIR,
-               cache_dir: str = DEFAULT_CACHE_DIR,
-               use_cache: bool = True, do_shrink: bool = True,
+               do_shrink: bool = True,
                log: Callable[[str], None] = lambda line: None
                ) -> OracleReport:
     """One oracle sweep; see the module docstring.
@@ -248,8 +216,7 @@ def run_oracle(seed: int = 0, n: int = 50,
     groups = _family_groups(selected)
     report = OracleReport(seed=seed, planned_cases=n)
     engine = Engine(sim=SimConfig(), scale=1.0, jobs=jobs,
-                    cache_dir=cache_dir, use_cache=use_cache,
-                    worker=oracle_worker)
+                    use_cache=False, worker=oracle_worker)
     seeds = case_seeds(seed, n)
     chunk = max(4, jobs * 2)
     elapsed = 0.0
@@ -266,7 +233,7 @@ def run_oracle(seed: int = 0, n: int = 50,
                 job = oracle_job(case, path_id)
                 job_index[(case.seed, path_id)] = job
                 plan.append(job)
-        exec_report = engine.execute(plan, workers=jobs)
+        exec_report = engine.execute(plan)
         errors = {o.job: o.error for o in exec_report.outcomes
                   if not o.ok}
         for case in cases:

@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         # SIGINT or SIGTERM.  Queued jobs stay 'new' in the ledger; a
         # restart with the same --ledger resumes them.
-        queued = _resumable(server.ledger_path, args.scale)
+        queued = _resumable(server)
         if queued:
             print(f"interrupted; {queued} queued job(s) remain in "
                   f"{server.ledger_path}", file=sys.stderr)
@@ -94,15 +94,20 @@ def main(argv=None) -> int:
     return 0
 
 
-def _resumable(ledger_path: str, scale: float) -> int:
-    """How many jobs a restart on this ledger and scale would resume."""
+def _resumable(server: SimServer) -> int:
+    """How many jobs a restart of ``server`` on its ledger would resume.
+
+    Counts with :meth:`SimServer._owns`, the rule the restart's resume
+    applies, so rows of another scale, SimConfig or code version are
+    left out.
+    """
     try:
-        store = JobStore(ledger_path, create=False)
+        store = JobStore(server.ledger_path, create=False)
     except EngineError:
         return 0
     try:
         return sum(1 for record in store.pending()
-                   if record.scale == scale)
+                   if server._owns(record))
     finally:
         store.close()
 

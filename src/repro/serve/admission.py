@@ -73,11 +73,6 @@ class TokenBucket:
             return True, 0.0
         return False, (1.0 - self._tokens) / self.rate
 
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
 
 class AdmissionController:
     """Run-now / queue / 429 decisions from live load counters.

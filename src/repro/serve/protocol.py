@@ -14,7 +14,6 @@ Request body fields::
     key       required  controller key as a JSON list,
                         e.g. ["equalizer", "performance"]
     client    optional  rate-limit identity (default: peer address)
-    priority  optional  int, smaller runs earlier (default 100)
     wait      optional  bool; true (default) holds the connection for
                         a run-now admission, false always returns 202
     scale     optional  must equal the server's pinned scale
@@ -55,11 +54,7 @@ from ..workloads import kernel_by_name
 PROVENANCE_CACHE = "cache"
 PROVENANCE_SIMULATED = "simulated"
 
-#: Default request priority; smaller runs earlier.
-DEFAULT_PRIORITY = 100
-
-_REQUEST_FIELDS = ("kernel", "key", "client", "priority", "wait",
-                   "scale", "seed")
+_REQUEST_FIELDS = ("kernel", "key", "client", "wait", "scale", "seed")
 
 
 class BadRequest(ReproError):
@@ -73,7 +68,6 @@ class SimRequest:
     kernel: str
     key: Tuple
     client: str
-    priority: int
     wait: bool
     #: The engine content digest this request normalizes to.
     digest: str
@@ -111,9 +105,6 @@ def normalize_request(body: Dict, sim: SimConfig, scale: float,
     client = body.get("client", default_client)
     if not isinstance(client, str) or not client:
         raise BadRequest("'client' must be a non-empty string")
-    priority = body.get("priority", DEFAULT_PRIORITY)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise BadRequest("'priority' must be an integer")
     wait = body.get("wait", True)
     if not isinstance(wait, bool):
         raise BadRequest("'wait' must be a boolean")
@@ -137,7 +128,7 @@ def normalize_request(body: Dict, sim: SimConfig, scale: float,
         raise BadRequest(str(exc)) from exc
     digest = job_digest(Job(kernel=kernel, key=key), spec, sim, scale)
     return SimRequest(kernel=kernel, key=key, client=client,
-                      priority=priority, wait=wait, digest=digest)
+                      wait=wait, digest=digest)
 
 
 def canonical_json(data: Dict) -> bytes:

@@ -23,7 +23,7 @@ structure (coalescing registry, counters, result LRUs, the front-side
 :class:`~repro.engine.store.JobStore` connection).  One *drain*
 thread runs :meth:`~repro.engine.executor.Engine.serve_queue` -- the
 supervised watchdog in serving mode -- pulling admitted jobs from a
-priority feed and reporting terminal outcomes back into the loop via
+FIFO feed and reporting terminal outcomes back into the loop via
 ``call_soon_threadsafe``.  SQLite connections are per-thread (the
 drain thread opens its own on the same WAL ledger path).
 
@@ -48,12 +48,10 @@ a repeated hit costs its digest and a dictionary lookup.
 """
 
 import asyncio
-import heapq
 import json
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
 from ..engine.cache import DEFAULT_CACHE_DIR
@@ -63,10 +61,9 @@ from ..engine.jobs import Job
 from ..engine.store import JobStore
 from ..errors import SerializationError, WorkloadError
 from .admission import ADMITTED, RUN, AdmissionController
-from .protocol import (DEFAULT_PRIORITY, PROVENANCE_CACHE,
-                       PROVENANCE_SIMULATED, BadRequest, accepted_body,
-                       canonical_json, error_body, normalize_request,
-                       result_body)
+from .protocol import (PROVENANCE_CACHE, PROVENANCE_SIMULATED,
+                       BadRequest, accepted_body, canonical_json,
+                       error_body, normalize_request, result_body)
 
 #: Largest accepted request body (bytes).
 MAX_BODY = 64 * 1024
@@ -93,24 +90,20 @@ def _remember(lru: OrderedDict, digest: str, value) -> None:
 
 
 class _Feed:
-    """Thread-safe priority queue between admission and the watchdog.
+    """Thread-safe FIFO queue between admission and the watchdog.
 
     The drain thread calls the instance (``feed(max_n, timeout)``,
     the :meth:`Engine.serve_queue` contract), blocking on a condition
     variable when idle -- no polling sleeps anywhere in this package.
-    Orders by (priority, arrival): smaller priority first, FIFO
-    within a priority.
     """
 
     def __init__(self) -> None:
         self._cv = threading.Condition()
-        self._heap: List[Tuple[int, int, Job]] = []
-        self._seq = 0
+        self._queue: Deque[Job] = deque()
 
-    def push(self, priority: int, job: Job) -> None:
+    def push(self, job: Job) -> None:
         with self._cv:
-            heapq.heappush(self._heap, (priority, self._seq, job))
-            self._seq += 1
+            self._queue.append(job)
             self._cv.notify()
 
     def wake(self) -> None:
@@ -120,26 +113,16 @@ class _Feed:
 
     def __len__(self) -> int:
         with self._cv:
-            return len(self._heap)
+            return len(self._queue)
 
     def __call__(self, max_n: int, timeout: float) -> List[Job]:
         with self._cv:
-            if not self._heap and timeout > 0:
+            if not self._queue and timeout > 0:
                 self._cv.wait(timeout)
             out: List[Job] = []
-            while self._heap and len(out) < max_n:
-                out.append(heapq.heappop(self._heap)[2])
+            while self._queue and len(out) < max_n:
+                out.append(self._queue.popleft())
             return out
-
-
-@dataclass
-class _Pending:
-    """One admitted digest: the shared future every waiter joins."""
-
-    job: Job
-    future: "asyncio.Future"
-    state: str = "queued"
-    joiners: int = field(default=0)
 
 
 class SimServer:
@@ -176,7 +159,8 @@ class SimServer:
         self.counters: Dict[str, int] = {
             "requests": 0, "cache_hits": 0, "coalesce_joins": 0,
             "runs_completed": 0, "quarantined": 0, "resumed": 0}
-        self._pending: Dict[str, _Pending] = {}
+        #: Admitted digest -> the shared future every waiter joins.
+        self._pending: Dict[str, "asyncio.Future"] = {}
         # Bodies settled by this server's runs (simulated or
         # quarantined), and the "cache" body of every recent hit.
         self._results: "OrderedDict[str, Tuple[int, bytes]]" = \
@@ -219,11 +203,9 @@ class SimServer:
                 # code version: running it here would store today's
                 # result under a digest that names a different run.
                 continue
-            job = Job(kernel=record.kernel, key=record.key,
-                      digest=record.digest)
-            self._pending[record.digest] = _Pending(
-                job=job, future=self._loop.create_future())
-            self.feed.push(DEFAULT_PRIORITY, job)
+            self._pending[record.digest] = self._loop.create_future()
+            self.feed.push(Job(kernel=record.kernel, key=record.key,
+                               digest=record.digest))
             count += 1
         self.counters["resumed"] = count
         return count
@@ -248,7 +230,6 @@ class SimServer:
         store = JobStore(self.ledger_path)
         try:
             self.engine.serve_queue(store, self.feed,
-                                    workers=self.workers,
                                     on_outcome=self._on_outcome,
                                     stop=self._stop)
         finally:
@@ -271,9 +252,9 @@ class SimServer:
         if self._drain is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._drain.join)
-        for entry in list(self._pending.values()):
-            if not entry.future.done():
-                entry.future.set_result((503, error_body(
+        for future in list(self._pending.values()):
+            if not future.done():
+                future.set_result((503, error_body(
                     "shutting-down",
                     "server stopping; the job stays queued in the "
                     "ledger and resumes on restart")))
@@ -345,9 +326,9 @@ class SimServer:
         """Loop-thread half: cache the bytes, wake every waiter."""
         self.counters["runs_completed" if ok else "quarantined"] += 1
         _remember(self._results, digest, (status, payload))
-        entry = self._pending.pop(digest, None)
-        if entry is not None and not entry.future.done():
-            entry.future.set_result((status, payload))
+        future = self._pending.pop(digest, None)
+        if future is not None and not future.done():
+            future.set_result((status, payload))
 
     # -- HTTP plumbing -------------------------------------------------
 
@@ -480,14 +461,13 @@ class SimServer:
             return 200, {}, payload
 
         # Coalesce: someone is already paying for this digest.
-        entry = self._pending.get(req.digest)
-        if entry is not None:
+        future = self._pending.get(req.digest)
+        if future is not None:
             self.counters["coalesce_joins"] += 1
-            entry.joiners += 1
             if req.wait:
-                status, payload = await asyncio.shield(entry.future)
+                status, payload = await asyncio.shield(future)
                 return status, {}, payload
-            return 202, {}, accepted_body(req.digest, entry.state)
+            return 202, {}, accepted_body(req.digest, "queued")
 
         # First request of this digest: admission decides.
         total = len(self._pending)
@@ -499,15 +479,15 @@ class SimServer:
                          f"{max(retry_after, 0.001):.3f}"}, \
                 error_body(verdict, "admission rejected the request",
                            digest=req.digest)
-        entry = _Pending(job=job, future=self._loop.create_future())
-        self._pending[req.digest] = entry
+        future = self._loop.create_future()
+        self._pending[req.digest] = future
         # Registered before the response is written: an acknowledged
         # job is in the ledger, whatever happens to this process.
         self.store_front.register(req.digest, job.kernel, job.key,
                                   self.scale)
-        self.feed.push(req.priority, job)
+        self.feed.push(job)
         if verdict == RUN and req.wait:
-            status, payload = await asyncio.shield(entry.future)
+            status, payload = await asyncio.shield(future)
             return status, {}, payload
         return 202, {}, accepted_body(req.digest, "queued")
 
@@ -520,9 +500,8 @@ class SimServer:
         if cached is not None:
             self._results.move_to_end(digest)
             return cached[0], {}, cached[1]
-        entry = self._pending.get(digest)
-        if entry is not None:
-            return 202, {}, accepted_body(digest, entry.state)
+        if digest in self._pending:
+            return 202, {}, accepted_body(digest, "queued")
         payload = self._hits.get(digest)
         if payload is None and self.engine.disk is not None:
             hit = self.engine.disk.get(digest)

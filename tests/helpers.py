@@ -115,7 +115,7 @@ def kill_process_group(pgid: int, timeout_s: float = 10.0):
         time.sleep(0.05)
 
 
-def serve_plan(engine, store, plan, workers=None):
+def serve_plan(engine, store, plan):
     """Run a fixed plan through :meth:`Engine.serve_queue`.
 
     The feed hands the plan over in the order given and the stop
@@ -140,6 +140,6 @@ def serve_plan(engine, store, plan, workers=None):
         if len(settled) == len(jobs):
             stop.set()
 
-    by_job = engine.serve_queue(store, feed, workers=workers,
-                                on_outcome=on_outcome, stop=stop)
+    by_job = engine.serve_queue(store, feed, on_outcome=on_outcome,
+                                stop=stop)
     return [by_job[job] for job in jobs]

@@ -63,7 +63,7 @@ def marker_dir(tmp_path, monkeypatch):
 
 
 def make_engine(tmp_path, **overrides) -> Engine:
-    kwargs = dict(sim=default_sim(), scale=SCALE,
+    kwargs = dict(sim=default_sim(), scale=SCALE, jobs=2,
                   cache_dir=str(tmp_path / "cache"),
                   backoff_base=0.01, lease_s=30.0)
     kwargs.update(overrides)
@@ -119,14 +119,13 @@ class EntryPoint:
         """The store to pass, or None for the private ledger."""
         return None if self.entry == "execute" else make_store(tmp_path)
 
-    def run_plan(self, engine, plan, store, workers=2):
+    def run_plan(self, engine, plan, store):
         """Outcomes of the plan, in plan order."""
         if self.entry == "execute":
-            return engine.execute(plan, workers=workers).outcomes
+            return engine.execute(plan).outcomes
         if self.entry == "serve":
-            return serve_plan(engine, store, plan, workers=workers)
-        return engine.execute(plan, workers=workers,
-                              store=store).outcomes
+            return serve_plan(engine, store, plan)
+        return engine.execute(plan, store=store).outcomes
 
 
 class TestWorkerCrash(EntryPoint):
@@ -154,9 +153,9 @@ class TestWorkerCrash(EntryPoint):
         assert plan.worker_actions(f"{job.digest}#a1") == [("crash",)]
         assert plan.worker_actions(f"{job.digest}#a2") == []
         monkeypatch.setenv(faults.ENV_VAR, spec)
-        engine = make_engine(tmp_path)
+        engine = make_engine(tmp_path, jobs=1)
         store = self.ledger(tmp_path)
-        [outcome] = self.run_plan(engine, [job], store, workers=1)
+        [outcome] = self.run_plan(engine, [job], store)
         # The worker's os._exit took down the pool, not this process.
         assert outcome.ok and outcome.attempts == 2
         if store is not None:
@@ -175,11 +174,11 @@ class TestWorkerCrashServe(TestWorkerCrash):
 class TestHang(EntryPoint):
     def check_hung_worker_is_killed(self, tmp_path, workers):
         engine = make_engine(tmp_path, worker=hang_once_worker,
-                             timeout=2.0)
+                             timeout=2.0, jobs=workers)
         store = self.ledger(tmp_path)
         job = Job("prtcl-2", BASELINE)
         start = time.monotonic()
-        [outcome] = self.run_plan(engine, [job], store, workers=workers)
+        [outcome] = self.run_plan(engine, [job], store)
         wall = time.monotonic() - start
         assert outcome.ok and outcome.attempts == 2
         if store is not None:
@@ -372,7 +371,7 @@ class TestLeaseExpiry:
         foreign = make_store(tmp_path, owner="feedface0000:1")
         assert foreign.try_claim(digest, lease_s=0.0)
         foreign.close()
-        report = engine.execute([job], workers=2, store=store)
+        report = engine.execute([job], store=store)
         assert not report.failures
         assert store.state(digest) == "done"
         store.close()
@@ -389,7 +388,7 @@ class TestLeaseExpiry:
         assert foreign.try_claim(digest, lease_s=1.0)
         foreign.close()
         start = time.monotonic()
-        report = engine.execute([job], workers=2, store=store)
+        report = engine.execute([job], store=store)
         assert not report.failures
         assert time.monotonic() - start >= 1.0
         store.close()

@@ -238,7 +238,7 @@ class TestSubmissionOrder:
         engine = tiny_engine(tmp_path, use_cache=False,
                              worker=order_worker)
         engine._memory[(cached.kernel, cached.key)] = "cached"
-        report = engine.execute(plan, workers=1)
+        report = engine.execute(plan)
         # One worker runs jobs in submission order: grouped by kernel,
         # kernels in order of first appearance, plan order within one.
         assert order_file.read_text().split("\n")[:-1] == [
@@ -393,15 +393,6 @@ class TestFacade:
         from repro.errors import ExperimentError
         with pytest.raises(ExperimentError):
             RunCache(sim=default_sim(), engine=tiny_engine(tmp_path))
-
-    def test_controller_rematerialises_after_disk_hit(self, tmp_path):
-        # Long enough (scale 0.3) for the controller to log decisions.
-        tiny_engine(tmp_path, scale=0.3).run("prtcl-2", EQ_PERF)
-        warm = RunCache(engine=tiny_engine(tmp_path, scale=0.3))
-        result = warm.run("prtcl-2", EQ_PERF)
-        ctrl = warm.controller("prtcl-2", EQ_PERF)
-        assert ctrl is not None and ctrl.decisions
-        assert warm.run("prtcl-2", EQ_PERF).ticks == result.ticks
 
 
 class TestCheckGuard:

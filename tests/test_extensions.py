@@ -74,6 +74,23 @@ class TestAblations:
                                         thresholds=[2.0])
         assert set(data) == {2.0}
 
+    def test_cli_scale_reaches_every_ablation_run(self, monkeypatch,
+                                                  capsys):
+        from repro.cli import main
+        scales = []
+        real = ablations.build_workload
+
+        def recording(spec, seed=2014, scale=1.0):
+            scales.append(scale)
+            return real(spec, seed=seed, scale=scale)
+
+        monkeypatch.setattr(ablations, "build_workload", recording)
+        assert main(["ablations", "--scale", "0.05", "--kernels",
+                     "prtcl-2", "--no-cache"]) == 0
+        assert "epoch length" in capsys.readouterr().out
+        # 13 settings x (baseline, performance, energy) runs.
+        assert scales == [0.05] * 39
+
     def test_report_renders(self):
         data = {
             "epoch_size": {1024: {"speedup_gmean": 1.1,

@@ -87,11 +87,6 @@ class TestRunCache:
         savings = cache.energy_savings("lavaMD", BASELINE)
         assert savings == pytest.approx(0.0)
 
-    def test_controller_retrieval(self):
-        cache = RunCache(sim=tiny_sim(), scale=0.2)
-        ctrl = cache.controller("lavaMD", EQ_PERF)
-        assert ctrl is not None and ctrl.decisions
-
 
 class TestGeomean:
     def test_simple(self):

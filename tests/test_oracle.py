@@ -161,8 +161,8 @@ def test_path_patterns_expand_against_the_matrix():
 # Agreement
 # ----------------------------------------------------------------------
 def test_small_sweep_has_zero_divergences(tmp_path):
-    report = run_oracle(seed=0, n=3, jobs=1, use_cache=False,
-                        do_shrink=False, dump_dir=str(tmp_path))
+    report = run_oracle(seed=0, n=3, jobs=1, do_shrink=False,
+                        dump_dir=str(tmp_path))
     assert report.ok, [f.label() for f in report.findings]
     assert report.cases_run == 3
     non_ref = len(all_paths()) - len(discover_families())
@@ -257,7 +257,7 @@ def test_cli_list_paths():
 
 
 def test_cli_smoke_sweep(tmp_path):
-    proc = _run_cli("--seed", "0", "--n", "2", "--no-cache",
+    proc = _run_cli("--seed", "0", "--n", "2",
                     "--dump-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "0 divergence(s)" in proc.stdout

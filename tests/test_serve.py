@@ -21,7 +21,7 @@ import time
 import pytest
 
 from helpers import kill_process_group, live_group_members
-from repro.engine import DiskCache, JobStore, execute_job
+from repro.engine import DiskCache, Job, JobStore, execute_job
 from repro.serve import __main__ as serve_main
 from repro.serve import server as server_module
 from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
@@ -158,6 +158,7 @@ class TestFastPaths:
             {"kernel": KERNEL, "key": ["baseline"], "scale": 0.5},
             {"kernel": KERNEL, "key": ["baseline"], "seed": 7},
             {"kernel": KERNEL, "key": ["baseline"], "typo": 1},
+            {"kernel": KERNEL, "key": ["baseline"], "priority": 1},
             {"kernel": KERNEL, "key": "baseline"},
             ["not", "an", "object"],
         ] + [{"kernel": KERNEL, "key": key} for key in (
@@ -351,6 +352,18 @@ class TestAdmissionUnit:
 
 
 # -- 429 integration ---------------------------------------------------
+
+
+class TestFeed:
+    def test_feed_hands_jobs_over_in_arrival_order(self):
+        feed = server_module._Feed()
+        jobs = [Job(KERNEL, ("boost", 60.0 + i)) for i in range(5)]
+        for job in jobs:
+            feed.push(job)
+        assert len(feed) == 5
+        assert feed(2, 0.0) == jobs[:2]
+        assert feed(10, 0.0) == jobs[2:]
+        assert len(feed) == 0 and feed(4, 0.0) == []
 
 
 class TestRateLimit:
@@ -617,13 +630,27 @@ class TestShutdown:
         assert "interrupted" in err
         assert "remain" not in err
 
-    def test_shutdown_count_is_what_a_restart_resumes(self, tmp_path):
+    def test_shutdown_count_is_what_a_restart_resumes(self, serve,
+                                                      tmp_path):
         path = str(tmp_path / "ledger.sqlite")
-        assert serve_main._resumable(path, SCALE) == 0  # no ledger yet
+        kwargs = dict(scale=SCALE, cache_dir=str(tmp_path / "cache"),
+                      ledger=path)
+        idle = SimServer(**kwargs)
+        assert serve_main._resumable(idle) == 0  # no ledger yet
+
+        def digest(key, scale=SCALE):
+            return normalize_request({"kernel": KERNEL, "key": key},
+                                     default_sim(), scale, "t").digest
+
         store = JobStore(path)
-        for i, scale in enumerate((SCALE, SCALE, SCALE, 0.5)):
-            store.register(f"d{i}", KERNEL, ("boost", 60.0 + i), scale)
-        store.mark_done("d0")
+        for key in (["baseline"], ["dyncta"], ["ccws"]):
+            store.register(digest(key), KERNEL, tuple(key), SCALE)
+        store.register(digest(["boost"], 0.5), KERNEL, ("boost",), 0.5)
+        store.register("f" * 64, KERNEL, ("boost",), SCALE)
+        store.mark_done(digest(["baseline"]))
         store.close()
-        # d1 and d2; d0 is done and d3 belongs to a server at 0.5.
-        assert serve_main._resumable(path, SCALE) == 2
+        # dyncta and ccws: baseline is done, the boost row at 0.5
+        # belongs to another server and the "f" row to another code
+        # version.
+        assert serve_main._resumable(idle) == 2
+        assert serve(**kwargs).counters["resumed"] == 2
