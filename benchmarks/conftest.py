@@ -1,63 +1,41 @@
-"""Benchmark configuration.
+"""Paper shape checks.
 
-Each benchmark regenerates one of the paper's tables or figures and
-reports the wall-clock cost of doing so.  Simulations are deterministic,
-so a single round per benchmark is meaningful; the point of the suite
-is regeneration (the assertions check the paper's shape targets), not
-micro-timing.
+Each test regenerates one of the paper's tables or figures and checks
+its shape targets: the assertions behind EXPERIMENTS.md.  Simulations
+are deterministic, so one regeneration per test settles each check.
+Throughput is measured by ``perfbench/``, not here.
 
-Run with::
+Run at full scale (the scale EXPERIMENTS.md documents)::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ -q
 
-Scale down for a quick pass::
+Scale down for a quick pass (CI runs 0.25)::
 
-    REPRO_BENCH_SCALE=0.3 pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=0.25 PYTHONPATH=src python -m pytest benchmarks/ -q
 
-The session cache sits on the parallel experiment engine, so runs can
-fan out over worker processes and persist results in the on-disk run
-cache -- a warm second pass times only report rendering::
-
-    REPRO_BENCH_JOBS=4 REPRO_CACHE_DIR=.repro-cache pytest benchmarks/
-
-Set ``REPRO_BENCH_CACHE=0`` to force cold simulations.
+The session cache sits on the parallel experiment engine: runs fan
+out over one worker process per CPU and persist in the engine's
+default on-disk run cache, as ``python -m repro`` does, so a warm
+second pass re-checks the shapes without re-simulating.
 """
 
 import os
-import sys
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(__file__))
-
-from repro.engine import DEFAULT_CACHE_DIR, Engine  # noqa: E402
-from repro.experiments.common import (RunCache,  # noqa: E402
-                                      default_sim)
-
-
-def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def bench_jobs() -> int:
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-
-
-def bench_cache_enabled() -> bool:
-    return os.environ.get("REPRO_BENCH_CACHE", "1") != "0"
+from repro.engine import Engine
+from repro.experiments.common import RunCache, default_sim
 
 
 @pytest.fixture(scope="session")
-def cache():
-    """One engine-backed run cache shared by every benchmark."""
-    engine = Engine(
-        sim=default_sim(), scale=bench_scale(), jobs=bench_jobs(),
-        cache_dir=os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR),
-        use_cache=bench_cache_enabled())
+def scale() -> float:
+    """The regeneration scale, ``REPRO_BENCH_SCALE`` (default 1.0)."""
+    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+
+
+@pytest.fixture(scope="session")
+def cache(scale):
+    """One engine-backed run cache shared by every check."""
+    engine = Engine(sim=default_sim(), scale=scale,
+                    jobs=os.cpu_count() or 1)
     return RunCache(engine=engine)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a regeneration exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
-                              iterations=1, warmup_rounds=0)

@@ -1,4 +1,4 @@
-"""Benchmarks for the extension experiments.
+"""Paper shape checks for the extension experiments.
 
 * Ablations of the constants the paper fixed after sensitivity studies
   (epoch length, block hysteresis, Xmem threshold).
@@ -9,11 +9,14 @@
 
 from repro.experiments import ablations, boost_comparison, motivation
 
-from conftest import bench_scale, run_once
 
-
-def test_ablations(benchmark):
-    data = run_once(benchmark, ablations.run, ["kmn", "cfd-1"])
+def test_ablations():
+    # Always full scale, whatever REPRO_BENCH_SCALE says: the
+    # hysteresis ranking needs full-length runs.  Measured hysteresis
+    # speedup gmeans per depth {1, 2, 3, 5}: 1.742, 1.829, 1.677,
+    # 1.362 at scale 1.0, but 1.403, 1.281, 1.196, 1.103 at 0.25,
+    # where depth 3 misses the 0.9 x best target below.
+    data = ablations.run(["kmn", "cfd-1"], scale=1.0)
     # The paper's design point must not be dominated: the 3-epoch
     # hysteresis performs within noise of the best depth tried.
     hyst = data["hysteresis"]
@@ -26,8 +29,8 @@ def test_ablations(benchmark):
     print(ablations.report(data))
 
 
-def test_motivation(benchmark):
-    data = run_once(benchmark, motivation.run, None, bench_scale())
+def test_motivation(scale):
+    data = motivation.run(None, scale)
     large = data["input_dependence"]["kmn-large"]
     assert large["mistuned_loss"] > 0.3
     fermi = data["cross_architecture"]["fermi"]
@@ -36,8 +39,8 @@ def test_motivation(benchmark):
     print(motivation.report(data))
 
 
-def test_boost_comparison(benchmark, cache):
-    data = run_once(benchmark, boost_comparison.run, cache)
+def test_boost_comparison(cache):
+    data = boost_comparison.run(cache)
     s = data["summary"]
     assert s["equalizer_gmean"] > s["boost_gmean"]
     # The budget policy pays energy on memory kernels for ~no speedup.
@@ -48,12 +51,12 @@ def test_boost_comparison(benchmark, cache):
     print(boost_comparison.report(data))
 
 
-def test_per_sm_vrm(benchmark):
+def test_per_sm_vrm(scale):
     """Per-SM regulators match the chip-wide speedup at lower energy on
     the load-imbalanced kernel, and change nothing on a uniform one."""
     from repro.experiments import per_sm_vrm
 
-    data = run_once(benchmark, per_sm_vrm.run, None, bench_scale())
+    data = per_sm_vrm.run(None, scale)
     p2 = data["prtcl-2"]["performance"]
     assert p2["per_sm"]["speedup"] > 1.05
     assert p2["per_sm"]["energy_delta"] < p2["global"]["energy_delta"]
@@ -64,12 +67,12 @@ def test_per_sm_vrm(benchmark):
     print(per_sm_vrm.report(data))
 
 
-def test_concurrent_kernels(benchmark):
+def test_concurrent_kernels(scale):
     """Section I's concurrent-kernel scenario: per-SM regulators beat
     the chip-wide majority vote when co-resident kernels disagree."""
     from repro.experiments import concurrent_kernels
 
-    data = run_once(benchmark, concurrent_kernels.run, bench_scale())
+    data = concurrent_kernels.run(scale)
     perf = data["performance"]
     assert perf["per_sm"]["speedup"] >= perf["global"]["speedup"] - 0.01
     energy = data["energy"]

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 1 (knob sweeps).
+"""Paper shape check: regenerate Figure 1 (knob sweeps).
 
 Shape targets (paper Section II-A): raising SM frequency helps compute
 kernels and not memory kernels; raising memory frequency the converse;
@@ -10,8 +10,6 @@ optimum.
 from repro.experiments import fig1_sweeps
 from repro.workloads import kernels_in_category
 
-from conftest import run_once
-
 
 def gmean_perf(points, category):
     vals = [p["performance"] for p in points.values()
@@ -22,8 +20,8 @@ def gmean_perf(points, category):
     return prod ** (1.0 / len(vals))
 
 
-def test_fig1(benchmark, cache):
-    data = run_once(benchmark, fig1_sweeps.run, cache)
+def test_fig1(cache):
+    data = fig1_sweeps.run(cache)
     up_sm = data["frequency"]["1a"]
     assert gmean_perf(up_sm, "compute") > 1.10
     assert gmean_perf(up_sm, "memory") < 1.06

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 10 (Equalizer vs DynCTA vs CCWS).
+"""Paper shape check: regenerate Figure 10 (Equalizer vs DynCTA vs CCWS).
 
 Shape targets: all three comparators help cache-sensitive kernels;
 Equalizer has the best geometric mean; at least one kernel goes to a
@@ -8,11 +8,9 @@ stable kernels.
 
 from repro.experiments import fig10_cache_comparison
 
-from conftest import run_once
 
-
-def test_fig10(benchmark, cache):
-    data = run_once(benchmark, fig10_cache_comparison.run, cache)
+def test_fig10(cache):
+    data = fig10_cache_comparison.run(cache)
     s = data["summary"]
     assert s["equalizer"] > s["dyncta"]
     assert s["equalizer"] > s["ccws"]

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 11 (adaptiveness).
+"""Paper shape check: regenerate Figure 11 (adaptiveness).
 
 Shape targets: across bfs-2's invocations Equalizer lowers its block
 count for the small-frontier invocations and raises it again (with the
@@ -8,11 +8,9 @@ waiting warps dominate while DynCTA keeps cutting.
 
 from repro.experiments import fig11_adaptiveness
 
-from conftest import run_once
 
-
-def test_fig11(benchmark, cache):
-    data = run_once(benchmark, fig11_adaptiveness.run, cache)
+def test_fig11(cache):
+    data = fig11_adaptiveness.run(cache)
 
     a = data["fig11a"]
     blocks = a["equalizer_blocks"]

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 2 (variation across/within invocations).
+"""Paper shape check: regenerate Figure 2 (variation in kernel needs).
 
 Shape targets: bfs-2's optimum shifts from 3 blocks (early invocations)
 to 1 block (invocations 7-9) and back; picking per-invocation beats the
@@ -8,11 +8,9 @@ a waiting-dominated background.
 
 from repro.experiments import fig2_variation
 
-from conftest import run_once
 
-
-def test_fig2(benchmark, cache):
-    data = run_once(benchmark, fig2_variation.run, cache)
+def test_fig2(cache):
+    data = fig2_variation.run(cache)
 
     a = data["fig2a"]
     picks = a["optimal_choice"]

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 4 (state of the warps).
+"""Paper shape check: regenerate Figure 4 (state of the warps).
 
 Shape targets: compute kernels are Excess-ALU-dominated, memory and
 cache kernels show substantial Excess-memory plus Waiting, unsaturated
@@ -9,11 +9,9 @@ hides its memory pressure (no visible Xmem).
 from repro.experiments import fig4_warp_states
 from repro.workloads import kernels_in_category
 
-from conftest import run_once
 
-
-def test_fig4(benchmark, cache):
-    data = run_once(benchmark, fig4_warp_states.run, cache)
+def test_fig4(cache):
+    data = fig4_warp_states.run(cache)
 
     for spec in kernels_in_category("compute"):
         f = data[spec.name]

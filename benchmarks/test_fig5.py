@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 5 (memory kernels vs thread blocks).
+"""Paper shape check: regenerate Figure 5 (memory kernels vs thread blocks).
 
 Shape target: every memory-intensive kernel's performance rises with
 concurrency but saturates before its maximum block count, so block
@@ -7,11 +7,9 @@ reduction is safe for them.
 
 from repro.experiments import fig5_memory_blocks
 
-from conftest import run_once
 
-
-def test_fig5(benchmark, cache):
-    data = run_once(benchmark, fig5_memory_blocks.run, cache)
+def test_fig5(cache):
+    data = fig5_memory_blocks.run(cache)
     for name, series in data.items():
         limit = max(series)
         best = max(series.values())

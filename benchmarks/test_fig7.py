@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 7 (performance mode).
+"""Paper shape check: regenerate Figure 7 (performance mode).
 
 Shape targets (paper Section V-B): Equalizer tracks the better static
 boost per category, wins big on cache-sensitive kernels with an energy
@@ -9,11 +9,9 @@ policies at lower energy cost (paper: 22% speedup / +6% energy versus
 
 from repro.experiments import fig7_performance_mode
 
-from conftest import run_once
 
-
-def test_fig7(benchmark, cache):
-    data = run_once(benchmark, fig7_performance_mode.run, cache)
+def test_fig7(cache):
+    data = fig7_performance_mode.run(cache)
     s = data["summary"]
     eq = s["equalizer"]
     assert eq["speedup_gmean"] > 1.15

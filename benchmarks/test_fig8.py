@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 8 (energy mode).
+"""Paper shape check: regenerate Figure 8 (energy mode).
 
 Shape targets: Equalizer saves energy overall while *improving*
 performance (paper: 15% savings at +5% perf); compute kernels lose
@@ -8,11 +8,9 @@ beats the static best on savings.
 
 from repro.experiments import fig8_energy_mode
 
-from conftest import run_once
 
-
-def test_fig8(benchmark, cache):
-    data = run_once(benchmark, fig8_energy_mode.run, cache)
+def test_fig8(cache):
+    data = fig8_energy_mode.run(cache)
     s = data["summary"]
     assert s["equalizer_perf_gmean"] > 1.0
     assert s["equalizer_savings_mean"] > 0.08

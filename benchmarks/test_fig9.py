@@ -1,4 +1,4 @@
-"""Benchmark: regenerate Figure 9 (VF-state time distribution).
+"""Paper shape check: regenerate Figure 9 (VF-state time distribution).
 
 Shape targets: in performance mode compute kernels spend their time at
 core-high and memory/cache kernels at mem-high; in energy mode compute
@@ -8,11 +8,9 @@ phase-alternating kernels split their time across both domains.
 
 from repro.experiments import fig9_frequency_distribution
 
-from conftest import run_once
 
-
-def test_fig9(benchmark, cache):
-    data = run_once(benchmark, fig9_frequency_distribution.run, cache)
+def test_fig9(cache):
+    data = fig9_frequency_distribution.run(cache)
 
     assert data["cutcp"]["performance"]["core_high"] > 0.5
     assert data["cutcp"]["energy"]["mem_low"] > 0.5

@@ -1,4 +1,4 @@
-"""Benchmark: regenerate the paper's headline numbers (abstract).
+"""Paper shape check: regenerate the paper's headline numbers (abstract).
 
 Paper: Equalizer achieves 15% energy savings in energy mode and 22%
 speedup in performance mode across the 27 kernels; always-boost
@@ -7,11 +7,9 @@ policies manage only 6-7% speedup at comparable or higher energy.
 
 from repro.experiments import headline
 
-from conftest import run_once
 
-
-def test_headline(benchmark, cache):
-    data = run_once(benchmark, headline.run, cache)
+def test_headline(cache):
+    data = headline.run(cache)
 
     perf = data["equalizer_performance"]
     assert perf["speedup"] > 1.15

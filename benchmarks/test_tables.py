@@ -1,12 +1,10 @@
-"""Benchmark: regenerate Tables I-III."""
+"""Paper shape check: regenerate Tables I-III."""
 
 from repro.experiments import tables
 
-from conftest import run_once
 
-
-def test_tables(benchmark):
-    data = run_once(benchmark, tables.run)
+def test_tables():
+    data = tables.run()
     report = tables.report(data)
     assert "Table I" in report
     assert "Table II" in report

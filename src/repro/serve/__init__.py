@@ -6,7 +6,8 @@ digests, cache hits return instantly, concurrent requests for the
 same digest coalesce onto one run, and misses pass through load-aware
 admission control into the durable job ledger.  See
 :mod:`repro.serve.server` for the architecture and
-:mod:`repro.serve.loadgen` for the deterministic load-test harness.
+:mod:`repro.serve.loadgen` for the deterministic request traces that
+perfbench and the tests replay.
 """
 
 from .admission import AdmissionController, TokenBucket

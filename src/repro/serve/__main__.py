@@ -6,7 +6,7 @@ Usage::
     python -m repro.serve --ledger .repro-cache/serve.sqlite
 
 Prints ``serving on http://HOST:PORT`` once the listener is up (the
-integration tests and the loadgen's subprocess mode parse that line),
+integration tests and perfbench's ``serve-dup`` parse that line),
 then serves until interrupted (SIGINT or SIGTERM).  Restarting with
 the same ``--ledger`` resumes any queued jobs.
 """

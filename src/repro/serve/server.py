@@ -264,7 +264,7 @@ class SimServer:
         if self._done is not None:
             self._done.set()
 
-    # -- background hosting (tests, loadgen --self-host) ---------------
+    # -- background hosting (tests) -------------------------------------
 
     def start_background(self, timeout: float = 30.0) -> "SimServer":
         """Run the server on a private loop in a daemon thread."""

@@ -304,8 +304,8 @@ def run_kernel(workload, sim: SimConfig, controller=None,
     is importable and through the scalar chip loop otherwise; the two
     are bit-identical (the vector oracle family and the golden digests
     pin this), so the choice is pure throughput.  Pass ``gpu_class``
-    to force a specific executor (the benchmarks do, so scalar-vs-
-    vector rows measure what they claim to).
+    to force a specific executor (the tests do, to pin the scalar
+    and vector loops against the same goldens).
     """
     from ..power.energy_model import compute_energy
     if gpu_class is None:

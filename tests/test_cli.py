@@ -26,15 +26,17 @@ class TestRuns:
         out = capsys.readouterr().out
         assert "Table I" in out and "Table III" in out
 
-    def test_fig4_scaled_subset(self, capsys):
+    def test_fig4_scaled_subset(self, capsys, tmp_path):
         assert main(["fig4", "--scale", "0.15",
-                     "--kernels", "lavaMD,cfd-2"]) == 0
+                     "--kernels", "lavaMD,cfd-2",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "lavaMD" in out and "cfd-2" in out
         assert "cutcp" not in out
 
-    def test_headline_scaled_subset(self, capsys):
+    def test_headline_scaled_subset(self, capsys, tmp_path):
         assert main(["headline", "--scale", "0.15",
-                     "--kernels", "lavaMD"]) == 0
+                     "--kernels", "lavaMD",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "equalizer_performance" in out

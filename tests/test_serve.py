@@ -4,9 +4,11 @@ A real server on an ephemeral port backs every integration test:
 cache-hit fast path, miss -> queue -> poll, 429s from the token
 bucket and run budget, the 64-client coalescing invariant (exactly
 one engine run, byte-identical bodies, proven through an injectable
-run-counter worker seam), loadgen trace determinism, and
-crash-recovery (SIGKILL the server subprocess mid-queue, restart on
-the same ledger, byte-identical results).
+run-counter worker seam), loadgen trace determinism, trace replay
+(many distinct digests from concurrent keep-alive clients, all ending
+200 with no quarantined job), and crash-recovery (SIGKILL the server
+subprocess mid-queue, restart on the same ledger, byte-identical
+results).
 """
 
 import asyncio
@@ -27,7 +29,8 @@ from repro.serve import server as server_module
 from repro.serve.admission import (QUEUE, REJECT_BUDGET, REJECT_LOAD,
                                    REJECT_RATE, RUN,
                                    AdmissionController, TokenBucket)
-from repro.serve.loadgen import SHAPES, build_trace, trace_digests
+from repro.serve.loadgen import (SHAPES, _request, build_trace,
+                                 trace_digests)
 from repro.experiments.common import default_sim
 from repro.serve.protocol import (PROVENANCE_CACHE, normalize_request,
                                   result_body)
@@ -430,6 +433,66 @@ class TestCoalescing:
         counters = json.loads(stats)["counters"]
         assert counters["coalesce_joins"] == 63
         assert counters["runs_completed"] == 1
+
+
+# -- trace replay: many distinct digests from concurrent clients -------
+
+
+async def _replay_client(server, items):
+    """One keep-alive client replaying its slice of a trace; 202s are
+    followed by polling ``/result/<digest>``."""
+    reader, writer = await asyncio.open_connection(server.host,
+                                                   server.port)
+    replies = []
+    try:
+        for item in items:
+            await asyncio.sleep(item["gap_ms"] / 1000.0)
+            body = json.dumps({"kernel": item["kernel"],
+                               "key": item["key"],
+                               "client": item["client"],
+                               "wait": True}).encode()
+            status, payload = await _request(reader, writer, "POST",
+                                             "/simulate", body)
+            if status == 202:
+                poll = "/result/" + json.loads(payload)["digest"]
+                deadline = time.monotonic() + 60.0
+                while status == 202 and time.monotonic() < deadline:
+                    await asyncio.sleep(0.02)
+                    status, payload = await _request(reader, writer,
+                                                     "GET", poll)
+            replies.append((status, payload))
+    finally:
+        writer.close()
+    return replies
+
+
+class TestTraceReplay:
+    @pytest.mark.parametrize("shape", ["unique-heavy", "mixed"])
+    def test_replay_ends_200_without_quarantine(self, serve, shape):
+        server = serve(rate=1000.0, burst=2000.0, queue_limit=4096)
+        trace = build_trace(shape, seed=2014, n=24, clients=4)
+        by_client = {}
+        for item in trace:
+            by_client.setdefault(item["client"], []).append(item)
+
+        async def replay():
+            return await asyncio.gather(*(
+                _replay_client(server, items)
+                for items in by_client.values()))
+
+        replies = [reply for client_replies in asyncio.run(replay())
+                   for reply in client_replies]
+        assert [status for status, _ in replies] == [200] * len(trace)
+        _, _, stats = http(server, "GET", "/stats")
+        assert json.loads(stats)["counters"]["quarantined"] == 0
+        bodies = {}
+        for _, payload in replies:
+            decoded = json.loads(payload)
+            bodies.setdefault((decoded["digest"],
+                               decoded["provenance"]),
+                              set()).add(payload)
+        # Every reply for one (digest, provenance) is the same bytes.
+        assert all(len(payloads) == 1 for payloads in bodies.values())
 
 
 # -- loadgen determinism -----------------------------------------------
